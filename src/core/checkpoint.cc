@@ -1,11 +1,7 @@
 #include "core/checkpoint.h"
 
-#include <array>
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
 
-#include "common/logging.h"
 #include "common/string_util.h"
 
 namespace emaf::core {
@@ -13,21 +9,6 @@ namespace emaf::core {
 namespace {
 
 constexpr std::string_view kVersionTag = "v1";
-
-const std::array<uint32_t, 256>& Crc32Table() {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table;
-}
 
 // Percent-escapes '%', '|', newline and carriage return so a field can
 // carry arbitrary status-message bytes on one '|'-separated line.
@@ -72,18 +53,8 @@ Result<std::string> UnescapeField(std::string_view field) {
   return out;
 }
 
-}  // namespace
-
-uint32_t Crc32(std::string_view data) {
-  const std::array<uint32_t, 256>& table = Crc32Table();
-  uint32_t crc = 0xffffffffu;
-  for (char c : data) {
-    crc = table[(crc ^ static_cast<unsigned char>(c)) & 0xffu] ^ (crc >> 8);
-  }
-  return crc ^ 0xffffffffu;
-}
-
-std::string EncodeJournalRecord(const JournalRecord& record) {
+// Everything after the CRC field.
+std::string EncodePayload(const JournalRecord& record) {
   std::vector<std::string> fields;
   fields.emplace_back(kVersionTag);
   fields.push_back(EscapeField(record.key));
@@ -97,32 +68,10 @@ std::string EncodeJournalRecord(const JournalRecord& record) {
   for (int64_t r : record.per_individual_retries) {
     fields.push_back(StrCat(r));
   }
-  std::string payload = StrJoin(fields, "|");
-  char crc_hex[9];
-  std::snprintf(crc_hex, sizeof(crc_hex), "%08x", Crc32(payload));
-  return StrCat(crc_hex, "|", payload);
+  return StrJoin(fields, "|");
 }
 
-Result<JournalRecord> DecodeJournalRecord(std::string_view line) {
-  size_t bar = line.find('|');
-  if (bar == std::string_view::npos) {
-    return Status::DataLoss("journal line has no checksum field");
-  }
-  std::string_view crc_text = line.substr(0, bar);
-  std::string_view payload = line.substr(bar + 1);
-  long long crc_value = 0;
-  {
-    // Hex parse (ParseInt64 is decimal-only).
-    std::string crc_string(crc_text);
-    char* end = nullptr;
-    crc_value = std::strtoll(crc_string.c_str(), &end, 16);
-    if (crc_text.empty() || end == nullptr || *end != '\0') {
-      return Status::DataLoss("journal line has a malformed checksum");
-    }
-  }
-  if (static_cast<uint32_t>(crc_value) != Crc32(payload)) {
-    return Status::DataLoss("journal record checksum mismatch");
-  }
+Result<JournalRecord> DecodePayload(std::string_view payload) {
   std::vector<std::string> fields = StrSplit(payload, '|');
   if (fields.size() < 6 || fields[0] != kVersionTag) {
     return Status::DataLoss("journal record has a bad header");
@@ -170,58 +119,33 @@ Result<JournalRecord> DecodeJournalRecord(std::string_view line) {
   return record;
 }
 
-Result<CheckpointJournal> CheckpointJournal::OpenForAppend(
-    const std::string& path) {
-  std::ofstream out(path, std::ios::app);
-  if (!out.is_open()) {
-    return Status::NotFound(
-        StrCat("cannot open journal for appending: ", path));
-  }
-  return CheckpointJournal(path, std::move(out));
+}  // namespace
+
+std::string EncodeJournalRecord(const JournalRecord& record) {
+  return FrameLine(EncodePayload(record));
+}
+
+Result<JournalRecord> DecodeJournalRecord(std::string_view line) {
+  Result<std::string_view> payload = UnframeLine(line);
+  if (!payload.ok()) return payload.status();
+  return DecodePayload(payload.value());
+}
+
+Result<CheckpointJournal> CheckpointJournal::Open(
+    const std::string& path, std::vector<JournalRecord>* records) {
+  Result<LineJournal> journal =
+      LineJournal::Open(path, [records](std::string_view payload) -> Status {
+        Result<JournalRecord> record = DecodePayload(payload);
+        if (!record.ok()) return record.status();
+        records->push_back(std::move(record).value());
+        return Status::Ok();
+      });
+  if (!journal.ok()) return journal.status();
+  return CheckpointJournal(std::move(journal).value());
 }
 
 Status CheckpointJournal::Append(const JournalRecord& record) {
-  out_ << EncodeJournalRecord(record) << "\n";
-  out_.flush();
-  if (!out_.good()) {
-    return Status::Internal(StrCat("journal append failed: ", path_));
-  }
-  return Status::Ok();
-}
-
-Result<std::vector<JournalRecord>> CheckpointJournal::Load(
-    const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    return Status::NotFound(StrCat("cannot open journal: ", path));
-  }
-  std::vector<JournalRecord> records;
-  std::string line;
-  int64_t line_number = 0;
-  bool pending_error = false;
-  std::string pending_message;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (StrTrim(line).empty()) continue;
-    if (pending_error) {
-      // The bad line was NOT the trailing record: real corruption.
-      return Status::DataLoss(pending_message);
-    }
-    Result<JournalRecord> record = DecodeJournalRecord(line);
-    if (!record.ok()) {
-      pending_error = true;
-      pending_message = StrCat(path, ":", line_number, ": ",
-                               record.status().message());
-      continue;
-    }
-    records.push_back(std::move(record.value()));
-  }
-  if (pending_error) {
-    EMAF_LOG(WARNING) << "checkpoint journal: dropping torn trailing "
-                         "record (" << pending_message << ")";
-  }
-  return records;
+  return journal_.Append(EncodePayload(record));
 }
 
 }  // namespace emaf::core

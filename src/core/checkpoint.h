@@ -8,26 +8,25 @@
 // reproduces the uninterrupted run byte-for-byte (fault_recovery_test
 // proves this against the golden harness).
 //
-// Record format (one line, '|'-separated):
+// Record format (one line, '|'-separated, framed by common/journal.h):
 //
 //   <crc32-hex>|v1|<cell-key>|<status-code>|<message>|<retries>|<n>|m0|..|r0|..
 //
 // where the CRC covers everything after the first '|', `m*` are the
 // per-individual MSEs (17 significant digits — round-trip exact), and
 // `r*` the per-individual retry counts. The message is percent-escaped so
-// it can carry arbitrary bytes. A torn trailing record (crash mid-append)
-// is detected by its checksum and skipped with a warning; a corrupt
-// record anywhere earlier is kDataLoss, since silently dropping completed
-// work would violate the resume contract.
+// it can carry arbitrary bytes. Torn-tail and corruption handling are the
+// shared journal's (common/journal.h): a torn final record is truncated
+// at Open, a corrupt record anywhere earlier is kDataLoss.
 
 #ifndef EMAF_CORE_CHECKPOINT_H_
 #define EMAF_CORE_CHECKPOINT_H_
 
 #include <cstdint>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/journal.h"
 #include "common/status.h"
 
 namespace emaf::core {
@@ -44,9 +43,6 @@ struct JournalRecord {
   std::vector<int64_t> per_individual_retries;
 };
 
-// CRC-32 (IEEE 802.3, reflected) of `data`. Exposed for tests.
-uint32_t Crc32(std::string_view data);
-
 // Serialized line for one record (no trailing newline) and its inverse.
 // Exposed for tests; RunGrid uses the journal class below.
 std::string EncodeJournalRecord(const JournalRecord& record);
@@ -54,26 +50,22 @@ Result<JournalRecord> DecodeJournalRecord(std::string_view line);
 
 class CheckpointJournal {
  public:
-  // Opens `path` for appending, creating it if missing.
-  static Result<CheckpointJournal> OpenForAppend(const std::string& path);
+  // Opens `path` for appending, creating it if missing, and stores every
+  // record already in it into `records`, in file order. A record that
+  // frames but does not decode, or corruption before the final line, is
+  // kDataLoss naming the line.
+  static Result<CheckpointJournal> Open(const std::string& path,
+                                        std::vector<JournalRecord>* records);
 
   // Appends one record and flushes it to the OS, so a subsequent hard
   // crash of this process cannot tear it.
   Status Append(const JournalRecord& record);
 
-  // Reads every valid record in file order. A record whose checksum fails
-  // is tolerated only as the final line (torn append during a crash);
-  // earlier corruption returns kDataLoss. A missing file is kNotFound.
-  static Result<std::vector<JournalRecord>> Load(const std::string& path);
-
-  const std::string& path() const { return path_; }
-
  private:
-  CheckpointJournal(std::string path, std::ofstream out)
-      : path_(std::move(path)), out_(std::move(out)) {}
+  explicit CheckpointJournal(LineJournal journal)
+      : journal_(std::move(journal)) {}
 
-  std::string path_;
-  std::ofstream out_;
+  LineJournal journal_;
 };
 
 }  // namespace emaf::core

@@ -394,31 +394,22 @@ GridResult ExperimentRunner::RunGrid(const std::vector<CellSpec>& grid,
   // was a *completed* decision; silently re-running it would make the
   // resumed report diverge from the uninterrupted one).
   std::unordered_map<std::string, JournalRecord> resumed;
-  if (options.resume && !options.journal_path.empty()) {
-    Result<std::vector<JournalRecord>> loaded =
-        CheckpointJournal::Load(options.journal_path);
-    if (loaded.ok()) {
-      for (JournalRecord& record : loaded.value()) {
+  std::optional<CheckpointJournal> journal;
+  if (!options.journal_path.empty()) {
+    std::vector<JournalRecord> records;
+    Result<CheckpointJournal> opened =
+        CheckpointJournal::Open(options.journal_path, &records);
+    // A corrupt journal cannot honor the byte-for-byte resume contract;
+    // that is a harness error, not a degradable cell failure.
+    EMAF_CHECK(opened.ok()) << "cannot open journal " << options.journal_path
+                            << ": " << opened.status().ToString();
+    journal.emplace(std::move(opened).value());
+    if (options.resume) {
+      for (JournalRecord& record : records) {
         std::string key = record.key;
         resumed.emplace(std::move(key), std::move(record));
       }
-    } else if (loaded.status().code() == StatusCode::kNotFound) {
-      EMAF_LOG(INFO) << "resume requested but no journal at "
-                     << options.journal_path << "; running from scratch";
-    } else {
-      // A corrupt journal cannot honor the byte-for-byte resume contract;
-      // that is a harness error, not a degradable cell failure.
-      EMAF_CHECK(false) << "cannot resume from " << options.journal_path
-                        << ": " << loaded.status().ToString();
     }
-  }
-
-  std::optional<CheckpointJournal> journal;
-  if (!options.journal_path.empty()) {
-    Result<CheckpointJournal> opened =
-        CheckpointJournal::OpenForAppend(options.journal_path);
-    EMAF_CHECK(opened.ok()) << opened.status().ToString();
-    journal.emplace(std::move(opened).value());
   }
 
   for (const CellSpec& spec : grid) {

@@ -293,20 +293,9 @@ Result<std::unique_ptr<Forecaster>> LoadForecasterSnapshot(
   Result<std::string> blob = nn::ReadSnapshotConfig(path);
   if (!blob.ok()) return blob.status();
   if (blob.value().empty()) {
-    // Distinguish a legacy v1 file from a v2 file saved config-less so the
-    // serve path can tell the operator exactly what to re-save.
-    Result<uint32_t> version = nn::ReadSnapshotVersion(path);
-    if (version.ok() && version.value() == nn::kSnapshotVersionParamsOnly) {
-      return Status::InvalidArgument(StrCat(
-          "cannot serve v1 snapshot ", path,
-          ": format v1 carries no embedded model config; expected format v",
-          nn::kSnapshotVersionWithConfig,
-          " — re-save it with models::SaveForecasterSnapshot"));
-    }
     return Status::InvalidArgument(StrCat(
         "snapshot ", path, " has an empty embedded model config; expected ",
-        "a format-v", nn::kSnapshotVersionWithConfig,
-        " snapshot written by models::SaveForecasterSnapshot"));
+        "a snapshot written by models::SaveForecasterSnapshot"));
   }
   Result<ModelConfig> config = ParseModelConfig(blob.value());
   if (!config.ok()) return config.status();

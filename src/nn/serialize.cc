@@ -12,9 +12,6 @@ namespace emaf::nn {
 namespace {
 
 constexpr char kMagic[4] = {'E', 'M', 'A', 'F'};
-constexpr uint32_t kVersionNoConfig = kSnapshotVersionParamsOnly;
-constexpr uint32_t kVersionWithConfig = kSnapshotVersionWithConfig;
-constexpr uint32_t kVersionWithDtype = kSnapshotVersionWithDtype;
 // Config blobs are small text (a ModelConfig is well under a kilobyte even
 // with an embedded adjacency for V ~ 100); anything larger is corruption.
 constexpr uint64_t kMaxConfigBytes = 64ULL << 20;
@@ -42,37 +39,36 @@ bool ReadI64(std::ifstream& in, int64_t* v) {
   return in.good();
 }
 
-// Reads magic + version and, for v2+, the config blob (into `config` when
-// non-null, skipped otherwise). Leaves `in` positioned at the parameter
-// count and reports the version via `version_out` when non-null.
+// Reads magic, version and the config blob (into `config` when non-null,
+// skipped otherwise). Leaves `in` positioned at the parameter count.
 Status ReadHeader(std::ifstream& in, const std::string& path,
-                  std::string* config, uint32_t* version_out = nullptr) {
+                  std::string* config) {
   char magic[4];
   in.read(magic, sizeof(magic));
   if (!in.good() || std::string(magic, 4) != std::string(kMagic, 4)) {
     return Status::InvalidArgument(StrCat("bad checkpoint magic in ", path));
   }
   uint32_t version = 0;
-  if (!ReadU32(in, &version) || version < kVersionNoConfig ||
-      version > kVersionWithDtype) {
-    return Status::InvalidArgument(
-        StrCat("unsupported checkpoint version in ", path));
+  if (!ReadU32(in, &version)) {
+    return Status::InvalidArgument(StrCat("truncated checkpoint: ", path));
   }
-  if (version_out != nullptr) *version_out = version;
-  if (version >= kVersionWithConfig) {
-    uint64_t config_len = 0;
-    if (!ReadU64(in, &config_len) || config_len > kMaxConfigBytes) {
-      return Status::InvalidArgument(StrCat("corrupt checkpoint: ", path));
-    }
-    if (config != nullptr) {
-      config->assign(config_len, '\0');
-      in.read(config->data(), static_cast<std::streamsize>(config_len));
-    } else {
-      in.ignore(static_cast<std::streamsize>(config_len));
-    }
-    if (!in.good()) {
-      return Status::InvalidArgument(StrCat("truncated checkpoint: ", path));
-    }
+  if (version != kSnapshotVersion) {
+    return Status::InvalidArgument(
+        StrCat("unsupported snapshot version ", version, " in ", path,
+               "; only version ", kSnapshotVersion, " is readable"));
+  }
+  uint64_t config_len = 0;
+  if (!ReadU64(in, &config_len) || config_len > kMaxConfigBytes) {
+    return Status::InvalidArgument(StrCat("corrupt checkpoint: ", path));
+  }
+  if (config != nullptr) {
+    config->assign(config_len, '\0');
+    in.read(config->data(), static_cast<std::streamsize>(config_len));
+  } else {
+    in.ignore(static_cast<std::streamsize>(config_len));
+  }
+  if (!in.good()) {
+    return Status::InvalidArgument(StrCat("truncated checkpoint: ", path));
   }
   return Status::Ok();
 }
@@ -91,7 +87,7 @@ Status SaveParameters(Module* module, const std::string& path,
   }
   std::vector<NamedParameter> params = module->NamedParameters();
   out.write(kMagic, sizeof(kMagic));
-  WriteU32(out, kVersionWithDtype);
+  WriteU32(out, kSnapshotVersion);
   WriteU64(out, config.size());
   out.write(config.data(), static_cast<std::streamsize>(config.size()));
   WriteU64(out, params.size());
@@ -116,8 +112,7 @@ Status LoadParameters(Module* module, const std::string& path) {
   if (!in.is_open()) {
     return Status::NotFound(StrCat("cannot open for reading: ", path));
   }
-  uint32_t version = 0;
-  EMAF_RETURN_IF_ERROR(ReadHeader(in, path, /*config=*/nullptr, &version));
+  EMAF_RETURN_IF_ERROR(ReadHeader(in, path, /*config=*/nullptr));
   uint64_t count = 0;
   if (!ReadU64(in, &count)) {
     return Status::InvalidArgument(StrCat("truncated checkpoint: ", path));
@@ -143,19 +138,15 @@ Status LoadParameters(Module* module, const std::string& path) {
     if (!in.good()) {
       return Status::InvalidArgument(StrCat("corrupt checkpoint: ", path));
     }
-    // v1/v2 predate per-parameter dtypes: every payload is f64.
-    tensor::DType file_dtype = tensor::DType::kF64;
-    if (version >= kVersionWithDtype) {
-      uint8_t dtype_byte = 0;
-      in.read(reinterpret_cast<char*>(&dtype_byte), 1);
-      if (!in.good() || !tensor::IsValidDType(dtype_byte)) {
-        return Status::InvalidArgument(
-            StrCat("corrupt checkpoint: invalid dtype byte ",
-                   static_cast<int>(dtype_byte), " for parameter ", name,
-                   " in ", path));
-      }
-      file_dtype = static_cast<tensor::DType>(dtype_byte);
+    uint8_t dtype_byte = 0;
+    in.read(reinterpret_cast<char*>(&dtype_byte), 1);
+    if (!in.good() || !tensor::IsValidDType(dtype_byte)) {
+      return Status::InvalidArgument(
+          StrCat("corrupt checkpoint: invalid dtype byte ",
+                 static_cast<int>(dtype_byte), " for parameter ", name,
+                 " in ", path));
     }
+    const tensor::DType file_dtype = static_cast<tensor::DType>(dtype_byte);
     uint64_t rank = 0;
     if (!ReadU64(in, &rank) || rank > 16) {
       return Status::InvalidArgument(StrCat("corrupt checkpoint: ", path));
@@ -210,25 +201,6 @@ Result<std::string> ReadSnapshotConfig(const std::string& path) {
   std::string config;
   EMAF_RETURN_IF_ERROR(ReadHeader(in, path, &config));
   return config;
-}
-
-Result<uint32_t> ReadSnapshotVersion(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::NotFound(StrCat("cannot open for reading: ", path));
-  }
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in.good() || std::string(magic, 4) != std::string(kMagic, 4)) {
-    return Status::InvalidArgument(StrCat("bad checkpoint magic in ", path));
-  }
-  uint32_t version = 0;
-  if (!ReadU32(in, &version) || version < kVersionNoConfig ||
-      version > kVersionWithDtype) {
-    return Status::InvalidArgument(
-        StrCat("unsupported checkpoint version in ", path));
-  }
-  return version;
 }
 
 }  // namespace emaf::nn

@@ -10,12 +10,12 @@
 // governs the element width of the data payload that follows. The config
 // blob is an opaque string (the model registry stores a serialized
 // ModelConfig there) so a serving process can rebuild the module before
-// loading its weights. Older files are still readable: v2 lacks the
-// per-parameter dtype byte (every payload is f64), v1 additionally lacks
-// the config length/bytes. New files are always written as v3; on load a
-// payload whose dtype differs from the receiving parameter's is converted
-// element-wise, so an f64 training snapshot can fill an f32 resident and
-// vice versa.
+// loading its weights. This module is the only reader and writer of the
+// format, and v3 is the only version it reads: files of any other version
+// (v1 had no config, v2 no dtype byte) are rejected with kInvalidArgument
+// naming the file and the version. On load a payload whose dtype differs
+// from the receiving parameter's is converted element-wise, so an f64
+// training snapshot can fill an f32 resident and vice versa.
 
 #ifndef EMAF_NN_SERIALIZE_H_
 #define EMAF_NN_SERIALIZE_H_
@@ -28,34 +28,27 @@
 
 namespace emaf::nn {
 
-// Snapshot format versions (see the format comment above): v1 = params
-// only, v2 = embedded config, v3 = per-parameter dtype byte. New files
-// are always written as v3.
-inline constexpr uint32_t kSnapshotVersionParamsOnly = 1;
-inline constexpr uint32_t kSnapshotVersionWithConfig = 2;
-inline constexpr uint32_t kSnapshotVersionWithDtype = 3;
+// The snapshot format version written and read (see the format comment
+// above).
+inline constexpr uint32_t kSnapshotVersion = 3;
 
-// Writes every named parameter of `module` to `path` (v3, empty config).
+// Writes every named parameter of `module` to `path` (empty config).
 Status SaveParameters(Module* module, const std::string& path);
 
 // As above, embedding `config` verbatim in the snapshot header.
 Status SaveParameters(Module* module, const std::string& path,
                       std::string_view config);
 
-// Loads a checkpoint (v1, v2 or v3) into `module`. Every parameter in the
-// file must exist in the module with an identical shape, and vice versa;
-// payloads are converted element-wise when their dtype differs from the
-// receiving parameter's. The embedded config, if any, is ignored here —
-// use ReadSnapshotConfig.
+// Loads a snapshot into `module`. Every parameter in the file must exist
+// in the module with an identical shape, and vice versa; payloads are
+// converted element-wise when their dtype differs from the receiving
+// parameter's. The embedded config is ignored here — use
+// ReadSnapshotConfig.
 Status LoadParameters(Module* module, const std::string& path);
 
-// Returns the config blob embedded in a snapshot; empty string for a v1
-// file or a newer file saved without a config.
+// Returns the config blob embedded in a snapshot; empty for a file saved
+// without a config.
 Result<std::string> ReadSnapshotConfig(const std::string& path);
-
-// Returns the format version of a snapshot (1, 2 or 3) without reading
-// its parameters — lets callers report a config-less v1 file precisely.
-Result<uint32_t> ReadSnapshotVersion(const std::string& path);
 
 }  // namespace emaf::nn
 

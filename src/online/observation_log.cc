@@ -1,17 +1,16 @@
 #include "online/observation_log.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <mutex>
+#include <optional>
 
 #include "common/fault_injection.h"
+#include "common/journal.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
-#include "core/checkpoint.h"
 #include "tensor/tensor.h"
 
 namespace emaf::online {
@@ -21,55 +20,18 @@ namespace {
 constexpr char kLogExtension[] = ".obslog";
 constexpr char kLineVersion[] = "v1";
 
-}  // namespace
-
-std::string EncodeObservationLine(uint64_t sequence,
-                                  std::span<const double> values) {
-  // Everything after the leading CRC field, built first so the CRC can
-  // cover it — mirroring EncodeJournalRecord.
-  std::string body = StrCat(kLineVersion, "|", sequence);
+// Everything after the CRC field: `v1|<seq>|<val0>|...`.
+std::string EncodePayload(uint64_t sequence, std::span<const double> values) {
+  std::string payload = StrCat(kLineVersion, "|", sequence);
   for (double v : values) {
-    body += '|';
-    body += FormatExact(v);
+    payload += '|';
+    payload += FormatExact(v);
   }
-  char crc[16];
-  std::snprintf(crc, sizeof(crc), "%08x", core::Crc32(body));
-  return StrCat(crc, "|", body);
+  return payload;
 }
 
-Result<DecodedObservation> DecodeObservationLine(std::string_view line) {
-  const size_t bar = line.find('|');
-  if (bar == std::string_view::npos) {
-    return Status::InvalidArgument("observation line has no CRC delimiter");
-  }
-  const std::string_view crc_hex = line.substr(0, bar);
-  const std::string_view body = line.substr(bar + 1);
-  long long crc_value = 0;
-  {
-    // Hex parse by hand: ParseInt64 reads decimal.
-    if (crc_hex.size() != 8) {
-      return Status::InvalidArgument(
-          StrCat("observation line CRC field must be 8 hex digits, got \"",
-                 crc_hex, "\""));
-    }
-    for (char c : crc_hex) {
-      int digit;
-      if (c >= '0' && c <= '9') {
-        digit = c - '0';
-      } else if (c >= 'a' && c <= 'f') {
-        digit = c - 'a' + 10;
-      } else {
-        return Status::InvalidArgument(
-            StrCat("observation line CRC field must be 8 hex digits, got \"",
-                   crc_hex, "\""));
-      }
-      crc_value = (crc_value << 4) | digit;
-    }
-  }
-  if (static_cast<uint32_t>(crc_value) != core::Crc32(body)) {
-    return Status::DataLoss("observation line CRC mismatch");
-  }
-  const std::vector<std::string> fields = StrSplit(body, '|');
+Result<DecodedObservation> DecodePayload(std::string_view payload) {
+  const std::vector<std::string> fields = StrSplit(payload, '|');
   if (fields.size() < 3) {
     return Status::InvalidArgument(StrCat(
         "observation line has ", fields.size(),
@@ -101,15 +63,39 @@ Result<DecodedObservation> DecodeObservationLine(std::string_view line) {
   return out;
 }
 
+}  // namespace
+
+std::string EncodeObservationLine(uint64_t sequence,
+                                  std::span<const double> values) {
+  return FrameLine(EncodePayload(sequence, values));
+}
+
+Result<DecodedObservation> DecodeObservationLine(std::string_view line) {
+  Result<std::string_view> payload = UnframeLine(line);
+  if (!payload.ok()) return payload.status();
+  return DecodePayload(payload.value());
+}
+
 // --- ObservationLog --------------------------------------------------------
 
 struct ObservationLog::Impl {
   struct Individual {
-    std::ofstream out;       // append mode, opened lazily / at recovery
+    std::optional<LineJournal> journal;  // opened at recovery / first use
     uint64_t last_seq = 0;
     int64_t num_variables = 0;
     std::vector<double> rows;  // row-major [rows, num_variables]
     int64_t num_rows = 0;
+
+    // kInvalidArgument unless a `width`-wide row matches this individual's
+    // earlier rows or, before the first one, `configured` (when > 0).
+    Status CheckWidth(int64_t width, int64_t configured) const {
+      const int64_t expected = num_variables > 0 ? num_variables : configured;
+      if (expected > 0 && width != expected) {
+        return Status::InvalidArgument(
+            StrCat("row width ", width, " != expected ", expected));
+      }
+      return Status::Ok();
+    }
   };
 
   std::string dir;
@@ -120,6 +106,36 @@ struct ObservationLog::Impl {
 
   std::string PathFor(const std::string& id) const {
     return (std::filesystem::path(dir) / StrCat(id, kLogExtension)).string();
+  }
+
+  // Opens `id`'s journal, recovering every row already in it into `ind`.
+  Status OpenJournal(const std::string& id, Individual* ind) {
+    Result<LineJournal> journal = LineJournal::Open(
+        PathFor(id), [&](std::string_view payload) -> Status {
+          Result<DecodedObservation> decoded = DecodePayload(payload);
+          if (!decoded.ok()) return decoded.status();
+          const DecodedObservation& obs = decoded.value();
+          if (obs.sequence != ind->last_seq + 1) {
+            return Status::DataLoss(StrCat("sequence ", obs.sequence,
+                                           " after ", ind->last_seq,
+                                           " (must be contiguous)"));
+          }
+          const int64_t width = static_cast<int64_t>(obs.values.size());
+          EMAF_RETURN_IF_ERROR(ind->CheckWidth(width, options.num_variables));
+          ind->num_variables = width;
+          ind->last_seq = obs.sequence;
+          ind->rows.insert(ind->rows.end(), obs.values.begin(),
+                           obs.values.end());
+          ++ind->num_rows;
+          return Status::Ok();
+        });
+    if (!journal.ok()) return journal.status();
+    if (journal.value().torn_tail()) {
+      ++torn_tails;
+      EMAF_METRIC_COUNTER_ADD("online.log.torn_tails_total", 1);
+    }
+    ind->journal.emplace(std::move(journal).value());
+    return Status::Ok();
   }
 };
 
@@ -157,70 +173,7 @@ Result<ObservationLog> ObservationLog::Open(
   for (const fs::path& path : files) {
     const std::string id = path.stem().string();
     Impl::Individual ind;
-    std::ifstream in(path);
-    if (!in) {
-      return Status::Internal(
-          StrCat("cannot read observation log ", path.string()));
-    }
-    std::string line;
-    int64_t lineno = 0;
-    // Byte length of the valid prefix, so a torn tail can be truncated
-    // away before the file is reopened for appending.
-    uintmax_t valid_bytes = 0;
-    bool torn = false;
-    while (std::getline(in, line)) {
-      ++lineno;
-      const size_t line_bytes = line.size() + 1;  // '\n'
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      Result<DecodedObservation> decoded = DecodeObservationLine(line);
-      const bool last_line = in.peek() == std::ifstream::traits_type::eof();
-      if (!decoded.ok()) {
-        if (last_line) {
-          // Torn append during a crash: the acknowledged prefix is intact,
-          // so recover it and drop the tail.
-          torn = true;
-          break;
-        }
-        return Status::DataLoss(StrCat("observation log ", path.string(),
-                                       " line ", lineno, ": ",
-                                       decoded.status().message()));
-      }
-      const DecodedObservation& obs = decoded.value();
-      if (obs.sequence != ind.last_seq + 1) {
-        return Status::DataLoss(StrCat(
-            "observation log ", path.string(), " line ", lineno,
-            ": sequence ", obs.sequence, " after ", ind.last_seq,
-            " (must be contiguous)"));
-      }
-      const int64_t width = static_cast<int64_t>(obs.values.size());
-      const int64_t expected =
-          ind.num_variables > 0 ? ind.num_variables : options.num_variables;
-      if (expected > 0 && width != expected) {
-        return Status::InvalidArgument(
-            StrCat("observation log ", path.string(), " line ", lineno,
-                   ": row width ", width, " != expected ", expected));
-      }
-      ind.num_variables = width;
-      ind.last_seq = obs.sequence;
-      ind.rows.insert(ind.rows.end(), obs.values.begin(), obs.values.end());
-      ++ind.num_rows;
-      valid_bytes += line_bytes;
-    }
-    in.close();
-    if (torn) {
-      ++impl.torn_tails;
-      EMAF_METRIC_COUNTER_ADD("online.log.torn_tails_total", 1);
-      fs::resize_file(path, valid_bytes, ec);
-      if (ec) {
-        return Status::Internal(StrCat("cannot truncate torn tail of ",
-                                       path.string(), ": ", ec.message()));
-      }
-    }
-    ind.out.open(path, std::ios::app);
-    if (!ind.out) {
-      return Status::Internal(
-          StrCat("cannot reopen observation log ", path.string()));
-    }
+    EMAF_RETURN_IF_ERROR(impl.OpenJournal(id, &ind));
     impl.individuals.emplace(id, std::move(ind));
   }
   EMAF_METRIC_GAUGE_SET("online.log.individuals",
@@ -245,20 +198,17 @@ Result<uint64_t> ObservationLog::Append(const std::string& id,
   auto [it, inserted] = impl_->individuals.try_emplace(id);
   Impl::Individual& ind = it->second;
   const int64_t width = static_cast<int64_t>(row.size());
-  const int64_t expected =
-      ind.num_variables > 0 ? ind.num_variables : impl_->options.num_variables;
-  if (expected > 0 && width != expected) {
+  Status fits = ind.CheckWidth(width, impl_->options.num_variables);
+  if (!fits.ok()) {
     if (inserted) impl_->individuals.erase(it);
-    return Status::InvalidArgument(StrCat("observation row width ", width,
-                                          " != expected ", expected,
-                                          " for individual ", id));
+    return Status(fits.code(), StrCat("observation ", fits.message(),
+                                      " for individual ", id));
   }
-  if (!ind.out.is_open()) {
-    ind.out.open(impl_->PathFor(id), std::ios::app);
-    if (!ind.out) {
+  if (!ind.journal.has_value()) {
+    Status opened = impl_->OpenJournal(id, &ind);
+    if (!opened.ok()) {
       if (inserted) impl_->individuals.erase(it);
-      return Status::Internal(
-          StrCat("cannot open observation log ", impl_->PathFor(id)));
+      return opened;
     }
     if (inserted) {
       EMAF_METRIC_GAUGE_SET("online.log.individuals",
@@ -266,11 +216,7 @@ Result<uint64_t> ObservationLog::Append(const std::string& id,
     }
   }
   const uint64_t seq = ind.last_seq + 1;
-  ind.out << EncodeObservationLine(seq, row) << '\n' << std::flush;
-  if (!ind.out) {
-    return Status::Internal(
-        StrCat("write to observation log failed for individual ", id));
-  }
+  EMAF_RETURN_IF_ERROR(ind.journal->Append(EncodePayload(seq, row)));
   ind.last_seq = seq;
   ind.num_variables = width;
   ind.rows.insert(ind.rows.end(), row.begin(), row.end());

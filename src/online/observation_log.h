@@ -2,22 +2,19 @@
 // "Online ingestion & hot-swap").
 //
 // One file per individual (`<dir>/<id>.obslog`), one observation row per
-// line, in the checkpoint journal's checksummed text format:
+// line, framed by the shared CRC line journal (common/journal.h):
 //
 //   <crc32-hex>|v1|<seq>|<val0>|<val1>|...|<valN-1>
 //
-// The CRC-32 (same IEEE polynomial as core/checkpoint) covers everything
-// after the first '|'; values are 17-significant-digit doubles
-// (FormatExact), so a replayed row is bit-for-bit the appended row.
-// Sequence numbers are assigned by the log, start at 1 per individual, and
-// are strictly contiguous — a gap means lost data and fails recovery.
+// The CRC-32 covers everything after the first '|'; values are
+// 17-significant-digit doubles (FormatExact), so a replayed row is
+// bit-for-bit the appended row. Sequence numbers are assigned by the log,
+// start at 1 per individual, and are strictly contiguous — a gap means
+// lost data and fails recovery with kDataLoss naming the file and line.
 //
-// Crash tolerance mirrors the checkpoint journal: a torn final line (the
-// process died mid-append) is detected by its checksum, counted, and
-// truncated away at Open so subsequent appends cannot bury corruption in
-// the middle of the file; a corrupt or out-of-sequence record anywhere
-// earlier is kDataLoss naming the file and line, because silently dropping
-// acknowledged observations would break the replay contract.
+// Crash tolerance is the shared journal's: a torn final line (the process
+// died mid-append) is truncated away at Open and counted; a corrupt record
+// anywhere earlier is kDataLoss naming the file and line.
 //
 // Determinism: the in-memory row store is populated only by recovery and
 // by Append, in order, so Tail/Replay are pure functions of the log-file
@@ -54,9 +51,9 @@ struct ObservationLogOptions {
 class ObservationLog {
  public:
   // Opens (creating if needed) the log directory and recovers every
-  // existing `*.obslog` file in it. kDataLoss on mid-file corruption;
-  // kInvalidArgument when a recovered row width contradicts
-  // `options.num_variables`.
+  // existing `*.obslog` file in it. kDataLoss on mid-file corruption or a
+  // sequence gap; kInvalidArgument when a recovered row does not decode or
+  // its width contradicts `options.num_variables`.
   static Result<ObservationLog> Open(const std::string& dir,
                                      const ObservationLogOptions& options = {});
 

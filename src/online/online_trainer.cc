@@ -27,8 +27,8 @@ Result<FineTuneResult> OnlineTrainer::FineTune(
   if (blob.value().empty()) {
     return Status::InvalidArgument(
         StrCat("snapshot ", snapshot_path,
-               " embeds no model config; online fine-tuning needs a v2+ "
-               "snapshot"));
+               " embeds no model config; online fine-tuning needs a "
+               "snapshot written by models::SaveForecasterSnapshot"));
   }
   Result<models::ModelConfig> parsed = models::ParseModelConfig(blob.value());
   if (!parsed.ok()) return parsed.status();

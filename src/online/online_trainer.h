@@ -79,7 +79,7 @@ class OnlineTrainer {
   // ignored for configs without one (LSTM/VAR, pure-graph-learning
   // MTGNN), where swapping would change the module structure.
   //   kUnavailable        — fault site online.train/<id> fired;
-  //   kInvalidArgument    — snapshot config unreadable (v1 file), V
+  //   kInvalidArgument    — snapshot config missing or unreadable, V
   //                         mismatch, or adjacency of the wrong size;
   //   kFailedPrecondition — too few rows for one training window;
   //   kAborted            — every attempt diverged; publish nothing, the

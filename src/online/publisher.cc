@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,28 +18,6 @@ namespace {
 
 constexpr char kSnapshotExtension[] = ".snapshot";
 
-// `<stem>.v<N>.snapshot` -> (id, N); nullopt when the name has no version
-// component. Mirrors the parser ModelStore::Publish uses to derive its
-// watermark, so the two sides always agree on what a filename means.
-std::optional<std::pair<std::string, uint64_t>> SplitVersionedName(
-    const std::string& filename) {
-  const std::string_view name = filename;
-  if (!name.ends_with(kSnapshotExtension)) return std::nullopt;
-  const std::string_view stem =
-      name.substr(0, name.size() - std::char_traits<char>::length(
-                                       kSnapshotExtension));
-  const size_t dot_v = stem.rfind(".v");
-  if (dot_v == std::string_view::npos) return std::nullopt;
-  const std::string_view digits = stem.substr(dot_v + 2);
-  if (digits.empty()) return std::nullopt;
-  uint64_t version = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') return std::nullopt;
-    version = version * 10 + static_cast<uint64_t>(c - '0');
-  }
-  return std::make_pair(std::string(stem.substr(0, dot_v)), version);
-}
-
 }  // namespace
 
 struct SnapshotPublisher::Impl {
@@ -49,36 +25,6 @@ struct SnapshotPublisher::Impl {
   mutable std::mutex mu;
   std::map<std::string, uint64_t> versions;      // latest per id
   std::map<std::string, std::string> manifest;   // id -> relative path
-
-  Status RewriteManifest() {
-    namespace fs = std::filesystem;
-    const fs::path manifest_path = fs::path(dir) / serve::kManifestFilename;
-    const fs::path tmp_path = fs::path(dir) / ".MANIFEST.tmp";
-    {
-      std::ofstream out(tmp_path, std::ios::trunc);
-      if (!out) {
-        return Status::Internal(
-            StrCat("cannot write manifest ", tmp_path.string()));
-      }
-      out << "# rewritten by SnapshotPublisher; id<TAB>relative-path\n";
-      for (const auto& [id, rel] : manifest) {
-        out << id << '\t' << rel << '\n';
-      }
-      out.flush();
-      if (!out) {
-        return Status::Internal(
-            StrCat("write to manifest ", tmp_path.string(), " failed"));
-      }
-    }
-    std::error_code ec;
-    fs::rename(tmp_path, manifest_path, ec);
-    if (ec) {
-      fs::remove(tmp_path, ec);
-      return Status::Internal(StrCat("cannot move manifest into place: ",
-                                     manifest_path.string()));
-    }
-    return Status::Ok();
-  }
 };
 
 SnapshotPublisher::SnapshotPublisher() : impl_(std::make_unique<Impl>()) {}
@@ -101,36 +47,22 @@ Result<SnapshotPublisher> SnapshotPublisher::Open(const std::string& dir) {
   // not MANIFEST still mentions it — monotonicity must survive restarts.
   for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
     if (!entry.is_regular_file()) continue;
-    const auto split = SplitVersionedName(entry.path().filename().string());
-    if (!split.has_value()) continue;
-    uint64_t& version = impl.versions[split->first];
-    version = std::max(version, split->second);
+    const auto versioned = serve::ParseVersionedName(
+        entry.path().filename().string(), kSnapshotExtension);
+    if (!versioned.has_value()) continue;
+    uint64_t& version = impl.versions[versioned->first];
+    version = std::max(version, versioned->second);
   }
   if (ec) {
     return Status::Internal(
         StrCat("cannot list publish directory ", dir, ": ", ec.message()));
   }
-  const fs::path manifest_path = fs::path(dir) / serve::kManifestFilename;
-  if (fs::is_regular_file(manifest_path, ec) && !ec) {
-    std::ifstream in(manifest_path);
-    if (!in) {
-      return Status::Internal(
-          StrCat("cannot read manifest ", manifest_path.string()));
-    }
-    std::string line;
-    int64_t lineno = 0;
-    while (std::getline(in, line)) {
-      ++lineno;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty() || line[0] == '#') continue;
-      const size_t tab = line.find('\t');
-      if (tab == std::string::npos || tab == 0 || tab + 1 >= line.size()) {
-        return Status::InvalidArgument(
-            StrCat("manifest ", manifest_path.string(), " line ", lineno,
-                   ": expected `id<TAB>relative-path`, got \"", line, "\""));
-      }
-      impl.manifest[line.substr(0, tab)] = line.substr(tab + 1);
-    }
+  Result<std::vector<std::pair<std::string, std::string>>> manifest =
+      serve::ReadManifest(dir);
+  if (manifest.ok()) {
+    impl.manifest.insert(manifest.value().begin(), manifest.value().end());
+  } else if (manifest.status().code() != StatusCode::kNotFound) {
+    return manifest.status();
   }
   return publisher;
 }
@@ -172,7 +104,7 @@ Result<PublishedSnapshot> SnapshotPublisher::Publish(
   // at next Open seeds above it.
   impl_->versions[id] = version;
   impl_->manifest[id] = filename;
-  EMAF_RETURN_IF_ERROR(impl_->RewriteManifest());
+  EMAF_RETURN_IF_ERROR(serve::WriteManifest(impl_->dir, impl_->manifest));
   EMAF_METRIC_COUNTER_ADD("online.publish.published_total", 1);
   uint64_t max_version = 0;
   for (const auto& [_, v] : impl_->versions) max_version = std::max(max_version, v);

@@ -44,7 +44,9 @@ struct PublishedSnapshot {
 class SnapshotPublisher {
  public:
   // Opens (creating if needed) `dir` and seeds each id's version counter
-  // from existing `<id>.v<N>.snapshot` files and MANIFEST entries.
+  // from existing `<id>.v<N>.snapshot` files and MANIFEST entries. A
+  // MANIFEST the store would reject (serve::ReadManifest) fails Open the
+  // same way.
   static Result<SnapshotPublisher> Open(const std::string& dir);
 
   SnapshotPublisher(SnapshotPublisher&&) noexcept;

@@ -4,9 +4,7 @@
 #include <optional>
 #include <utility>
 
-#include "common/fault_injection.h"
 #include "common/metrics.h"
-#include "common/string_util.h"
 #include "serve/scheduler.h"
 
 namespace emaf::serve {
@@ -69,13 +67,6 @@ Result<InferenceEngine> InferenceEngine::Load(const std::string& snapshot_dir,
       options.max_resident_models <= 0 && options.max_resident_bytes <= 0;
   if (eager) {
     for (const std::string& id : state.store->individual_ids()) {
-      // The PR-4 fault site keyed by filename, kept for compatibility
-      // (the store's own site is serve.store.load/<id>).
-      std::string filename = StrCat(id, options.extension);
-      if (EMAF_FAULT_SHOULD_FAIL(StrCat("serve.load/", filename))) {
-        return Status::Unavailable(
-            StrCat("injected fault: serve.load/", filename));
-      }
       Result<ModelHandle> handle = state.store->Get(id);
       if (!handle.ok()) return handle.status();
       state.pinned.emplace(id, std::move(handle).value());

@@ -4,10 +4,10 @@
 // Since the model-store split the engine is a thin composition of the two
 // serving primitives: a serve::ModelStore owns which models are resident
 // (lazy loading, refcounted pins, LRU eviction under a budget) and a
-// serve::RequestScheduler owns batching. The engine's PR-4 public API and
-// metric names (serve.requests_total, serve.request_seconds,
-// serve.loaded_models, serve.arena_hit_rate) and fault sites
-// (serve.load/<file>, serve.request/<id>) are unchanged.
+// serve::RequestScheduler owns batching. The engine keeps its own metric
+// names (serve.requests_total, serve.request_seconds, serve.loaded_models,
+// serve.arena_hit_rate) and fault site serve.request/<id>; a snapshot load
+// fails through the store's site serve.store.load/<id>.
 //
 // Two residency modes, selected by EngineOptions:
 //   - eager (default, both budgets unlimited): Load() cold-loads every
@@ -73,7 +73,7 @@ class InferenceEngine {
  public:
   // Opens the snapshot directory. Eager mode additionally loads every
   // `<id><extension>` file, sorted by filename, and fails if any snapshot
-  // is unreadable (fault site serve.load/<filename>); budgeted mode
+  // is unreadable (fault site serve.store.load/<id>); budgeted mode
   // defers loading (and load errors) to the first request per id. Fails
   // if the directory is missing or holds no snapshots.
   static Result<InferenceEngine> Load(const std::string& snapshot_dir,

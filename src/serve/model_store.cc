@@ -279,75 +279,98 @@ ModelStore::ModelStore(ModelStore&&) noexcept = default;
 ModelStore& ModelStore::operator=(ModelStore&&) noexcept = default;
 ModelStore::~ModelStore() = default;
 
-namespace {
-
-// Parses `snapshot_dir/MANIFEST` into (id, absolute path) pairs. See
-// kManifestFilename: `id<TAB>relpath` per line, '#' comments, blank lines
-// skipped. Errors name the offending line number.
-Status ReadManifest(const std::string& snapshot_dir,
-                    const std::filesystem::path& manifest_path,
-                    std::vector<std::pair<std::string, std::string>>* out) {
+Result<std::vector<std::pair<std::string, std::string>>> ReadManifest(
+    const std::string& dir) {
   namespace fs = std::filesystem;
+  const fs::path manifest_path = fs::path(dir) / kManifestFilename;
+  std::error_code ec;
+  if (!fs::is_regular_file(manifest_path, ec) || ec) {
+    return Status::NotFound(
+        StrCat("manifest not found: ", manifest_path.string()));
+  }
   std::ifstream in(manifest_path);
   if (!in) {
     return Status::Internal(
         StrCat("cannot read manifest ", manifest_path.string()));
   }
+  std::vector<std::pair<std::string, std::string>> entries;
   std::set<std::string> seen;
   std::string line;
   int64_t lineno = 0;
+  auto bad_line = [&](const auto&... what) {
+    return Status::InvalidArgument(StrCat("manifest ", manifest_path.string(),
+                                          " line ", lineno, ": ", what...));
+  };
   while (std::getline(in, line)) {
     ++lineno;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty() || line[0] == '#') continue;
     const size_t tab = line.find('\t');
     if (tab == std::string::npos || tab == 0 || tab + 1 >= line.size()) {
-      return Status::InvalidArgument(
-          StrCat("manifest ", manifest_path.string(), " line ", lineno,
-                 ": expected `id<TAB>relative-path`, got \"", line, "\""));
+      return bad_line("expected `id<TAB>relative-path`, got \"", line, "\"");
     }
     std::string id = line.substr(0, tab);
-    std::string rel = line.substr(tab + 1);
     if (!seen.insert(id).second) {
-      return Status::InvalidArgument(
-          StrCat("manifest ", manifest_path.string(), " line ", lineno,
-                 ": duplicate id \"", id, "\""));
+      return bad_line("duplicate id \"", id, "\"");
     }
-    fs::path full = fs::path(snapshot_dir) / rel;
-    std::error_code ec;
+    std::string rel = line.substr(tab + 1);
+    const fs::path full = fs::path(dir) / rel;
     if (!fs::is_regular_file(full, ec) || ec) {
-      return Status::InvalidArgument(
-          StrCat("manifest ", manifest_path.string(), " line ", lineno,
-                 ": snapshot file not found: ", full.string()));
+      return bad_line("snapshot file not found: ", full.string());
     }
-    out->emplace_back(std::move(id), full.string());
+    entries.emplace_back(std::move(id), std::move(rel));
+  }
+  return entries;
+}
+
+Status WriteManifest(const std::string& dir,
+                     const std::map<std::string, std::string>& entries) {
+  namespace fs = std::filesystem;
+  const fs::path manifest_path = fs::path(dir) / kManifestFilename;
+  const fs::path tmp_path = fs::path(dir) / ".MANIFEST.tmp";
+  {
+    std::ofstream out(tmp_path, std::ios::trunc);
+    if (!out) {
+      return Status::Internal(
+          StrCat("cannot write manifest ", tmp_path.string()));
+    }
+    out << "# rewritten by SnapshotPublisher; id<TAB>relative-path\n";
+    for (const auto& [id, rel] : entries) {
+      out << id << '\t' << rel << '\n';
+    }
+    out.flush();
+    if (!out) {
+      return Status::Internal(
+          StrCat("write to manifest ", tmp_path.string(), " failed"));
+    }
+  }
+  std::error_code ec;
+  fs::rename(tmp_path, manifest_path, ec);
+  if (ec) {
+    fs::remove(tmp_path, ec);
+    return Status::Internal(StrCat("cannot move manifest into place: ",
+                                   manifest_path.string()));
   }
   return Status::Ok();
 }
 
-// "<stem>.v<N>.<ext>" filename component -> N: the snapshot publisher
-// encodes its monotonic version in the filename, so a Publish(id, path)
-// with version 0 can recover it. 0 when no `.v<digits>` component exists;
-// the last well-formed component wins.
-uint64_t VersionFromFilename(const std::string& path) {
-  const std::string name = std::filesystem::path(path).filename().string();
+std::optional<std::pair<std::string, uint64_t>> ParseVersionedName(
+    std::string_view filename, std::string_view extension) {
+  if (!filename.ends_with(extension)) return std::nullopt;
+  const std::string_view stem =
+      filename.substr(0, filename.size() - extension.size());
+  const size_t dot_v = stem.rfind(".v");
+  if (dot_v == std::string_view::npos) return std::nullopt;
+  const std::string_view digits = stem.substr(dot_v + 2);
+  if (digits.empty()) return std::nullopt;
   uint64_t version = 0;
-  for (size_t pos = name.find(".v"); pos != std::string::npos;
-       pos = name.find(".v", pos + 1)) {
-    size_t i = pos + 2;
-    uint64_t value = 0;
-    bool any_digit = false;
-    while (i < name.size() && name[i] >= '0' && name[i] <= '9') {
-      value = value * 10 + static_cast<uint64_t>(name[i] - '0');
-      any_digit = true;
-      ++i;
-    }
-    if (any_digit && (i == name.size() || name[i] == '.')) version = value;
+  for (char c : digits) {
+    if (c < '0' || c > '9') return std::nullopt;
+    version = version * 10 + static_cast<uint64_t>(c - '0');
   }
-  return version;
+  if (version == 0) return std::nullopt;
+  return std::make_pair(std::string(stem.substr(0, dot_v)), version);
 }
-
-}  // namespace
 
 Result<ModelStore> ModelStore::Open(const std::string& snapshot_dir,
                                     const ModelStoreOptions& options) {
@@ -360,36 +383,42 @@ Result<ModelStore> ModelStore::Open(const std::string& snapshot_dir,
   // (id, snapshot path); the manifest — when present — is authoritative,
   // and lets many tenant ids alias one physical snapshot file.
   std::vector<std::pair<std::string, std::string>> listed;
-  const fs::path manifest_path = fs::path(snapshot_dir) / kManifestFilename;
-  if (fs::is_regular_file(manifest_path, ec) && !ec) {
-    EMAF_RETURN_IF_ERROR(ReadManifest(snapshot_dir, manifest_path, &listed));
+  Result<std::vector<std::pair<std::string, std::string>>> manifest =
+      ReadManifest(snapshot_dir);
+  if (manifest.ok()) {
+    listed = std::move(manifest).value();
     if (listed.empty()) {
-      return Status::NotFound(StrCat("manifest ", manifest_path.string(),
-                                     " lists no snapshots"));
+      return Status::NotFound(
+          StrCat("manifest ",
+                 (fs::path(snapshot_dir) / kManifestFilename).string(),
+                 " lists no snapshots"));
     }
+  } else if (manifest.status().code() != StatusCode::kNotFound) {
+    return manifest.status();
   } else {
-    std::vector<fs::path> files;
     for (const fs::directory_entry& entry :
          fs::directory_iterator(snapshot_dir, ec)) {
-      if (entry.path().extension() != options.extension) continue;
-      // `<id>.v<N><ext>` files are publisher artifacts: versions of an id,
-      // not tenants named "<id>.vN". They are reached via the MANIFEST the
-      // publisher rewrites (authoritative above) or an explicit Publish —
-      // never by inventing a tenant from the listing.
-      if (VersionFromFilename(entry.path().filename().string()) > 0) continue;
-      files.push_back(entry.path());
+      const fs::path& path = entry.path();
+      // Publisher artifacts are versions of an id, reached via the MANIFEST
+      // the publisher rewrites (authoritative above) or an explicit
+      // Publish — never tenants of their own.
+      if (path.extension() != options.extension ||
+          ParseVersionedName(path.filename().string(), options.extension)) {
+        continue;
+      }
+      listed.emplace_back(path.stem().string(), path.filename().string());
     }
     if (ec) {
       return Status::Internal(StrCat("cannot list snapshot directory ",
                                      snapshot_dir, ": ", ec.message()));
     }
-    if (files.empty()) {
+    if (listed.empty()) {
       return Status::NotFound(
           StrCat("no *", options.extension, " snapshots in ", snapshot_dir));
     }
-    for (const fs::path& path : files) {
-      listed.emplace_back(path.stem().string(), path.string());
-    }
+  }
+  for (auto& [id, path] : listed) {
+    path = (fs::path(snapshot_dir) / path).string();
   }
   // Listing order is unspecified (directory iteration) or author-chosen
   // (manifest); sort by id for determinism either way.
@@ -596,7 +625,11 @@ Status ModelStore::Publish(const std::string& id, const std::string& path,
   }
   uintmax_t bytes = fs::file_size(path, ec);
   const int64_t file_bytes = ec ? 0 : static_cast<int64_t>(bytes);
-  if (version == 0) version = VersionFromFilename(path);
+  if (version == 0) {
+    const auto versioned = ParseVersionedName(
+        fs::path(path).filename().string(), impl_->options.extension);
+    if (versioned.has_value()) version = versioned->second;
+  }
 
   Impl::Shard& shard = impl_->ShardFor(id);
   bool added = false;
@@ -686,21 +719,15 @@ bool ModelStore::Invalidate(const std::string& id) {
 }
 
 Status ModelStore::ReloadManifest() {
-  namespace fs = std::filesystem;
-  const fs::path manifest_path =
-      fs::path(impl_->snapshot_dir) / kManifestFilename;
-  std::error_code ec;
-  if (!fs::is_regular_file(manifest_path, ec) || ec) {
-    return Status::NotFound(
-        StrCat("manifest not found: ", manifest_path.string()));
-  }
   // Parse and validate the whole rewrite before touching any state: a
   // malformed line rejects the reload and the old mapping keeps serving.
-  std::vector<std::pair<std::string, std::string>> listed;
-  EMAF_RETURN_IF_ERROR(
-      ReadManifest(impl_->snapshot_dir, manifest_path, &listed));
+  Result<std::vector<std::pair<std::string, std::string>>> manifest =
+      ReadManifest(impl_->snapshot_dir);
+  if (!manifest.ok()) return manifest.status();
+  std::vector<std::pair<std::string, std::string>>& listed = manifest.value();
   std::sort(listed.begin(), listed.end());
-  for (const auto& [id, path] : listed) {
+  for (auto& [id, path] : listed) {
+    path = (std::filesystem::path(impl_->snapshot_dir) / path).string();
     bool changed = true;
     {
       Impl::Shard& shard = impl_->ShardFor(id);

@@ -5,7 +5,7 @@
 // per-model memory cost is irreducible (MTGNN-style per-graph weights), so
 // residency itself must be managed. Open() only lists the snapshot
 // directory — nothing is loaded until the first Get() for an id, which
-// cold-loads through the PR-4 registry path (snapshot v2, embedded
+// cold-loads through the model registry (snapshot v3, embedded
 // config), puts the model in eval mode once, and pins it with a
 // refcounted ModelHandle. When a configurable budget is exceeded
 // (`max_resident_models` models and/or `max_resident_bytes` bytes, a
@@ -53,8 +53,12 @@
 #define EMAF_SERVE_MODEL_STORE_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -141,16 +145,37 @@ class ModelHandle {
 // physical snapshots laid out in sharded subdirectories.
 inline constexpr char kManifestFilename[] = "MANIFEST";
 
+// The one MANIFEST reader and writer, shared by ModelStore and
+// online::SnapshotPublisher so both agree on what a directory holds.
+//
+// Reads `dir/MANIFEST` into (id, relative path) pairs in file order; '#'
+// comments and blank lines are skipped. kNotFound when the file does not
+// exist; kInvalidArgument naming the line for a malformed line, a
+// duplicate id, or a snapshot file that does not exist.
+Result<std::vector<std::pair<std::string, std::string>>> ReadManifest(
+    const std::string& dir);
+// Replaces `dir/MANIFEST` with one line per (id, relative path) entry,
+// under a comment header, via a tmp file and rename so readers never see
+// a partial file.
+Status WriteManifest(const std::string& dir,
+                     const std::map<std::string, std::string>& entries);
+
+// The one versioned-filename parser: `<id>.v<N><extension>` with N >= 1
+// -> (id, N), the names online::SnapshotPublisher writes. nullopt for any
+// other name — `a.v2.b.snapshot` is the plain tenant `a.v2.b`.
+std::optional<std::pair<std::string, uint64_t>> ParseVersionedName(
+    std::string_view filename, std::string_view extension);
+
 class ModelStore {
  public:
   // Lists every `<id><extension>` file in `snapshot_dir` (sorted by id)
-  // without loading any of them. Fails with kNotFound when the directory
-  // is missing or holds no snapshots. The id set is fixed at Open time.
+  // without loading any of them; versioned publisher files (see
+  // ParseVersionedName) are versions of an id, not tenants, and are
+  // skipped. Fails with kNotFound when the directory is missing or holds
+  // no snapshots. The id set is fixed at Open time.
   //
-  // If `snapshot_dir/MANIFEST` exists it is authoritative instead: lines
-  // of `id<TAB>relpath` ('#' comments and blank lines ignored). A
-  // malformed line, a duplicate id, or a missing snapshot file fails with
-  // kInvalidArgument naming the line.
+  // If `snapshot_dir/MANIFEST` exists it is authoritative instead, with
+  // ReadManifest's errors.
   static Result<ModelStore> Open(const std::string& snapshot_dir,
                                  const ModelStoreOptions& options = {});
 
@@ -169,9 +194,9 @@ class ModelStore {
   //   kResourceExhausted — budget exceeded and every resident model is
   //                        pinned (nothing evictable);
   //   kUnavailable       — fault site serve.store.load/<id> fired;
-  //   kInvalidArgument   — snapshot malformed (e.g. a v1 file with no
-  //                        embedded config; the message names the file and
-  //                        the expected version).
+  //   kInvalidArgument   — snapshot malformed or of an unsupported format
+  //                        version (the message names the file and the
+  //                        version).
   Result<ModelHandle> Get(const std::string& id);
 
   // Evicts up to `max_to_evict` (< 0 = all) idle resident models in LRU
@@ -188,8 +213,8 @@ class ModelStore {
   // nothing (its request is still served the old bytes — never a mixed
   // version); the next Get() cold-loads `path`. An unknown `id` is
   // registered as a new tenant. `version` feeds the store's monotonic
-  // published-version watermark; 0 derives it from a `.v<N>` filename
-  // component when present.
+  // published-version watermark; 0 derives it from a versioned filename
+  // (ParseVersionedName with the store's extension) when present.
   //   kNotFound — `path` is not a readable file (the store is unchanged).
   Status Publish(const std::string& id, const std::string& path,
                  uint64_t version = 0);

@@ -4,8 +4,8 @@
 #include <limits>
 
 #include "common/check.h"
+#include "common/journal.h"
 #include "common/string_util.h"
-#include "core/checkpoint.h"
 #include "tensor/shape.h"
 
 namespace emaf::serve {
@@ -159,7 +159,7 @@ std::string EncodeFrame(const Frame& frame) {
   AppendLe<uint64_t>(&out, frame.deadline_ticks);
   out.append(frame.tenant_id);
   out.append(frame.payload);
-  AppendLe<uint32_t>(&out, core::Crc32(out));
+  AppendLe<uint32_t>(&out, Crc32(out));
   return out;
 }
 
@@ -190,7 +190,7 @@ Result<Frame> DecodeFrame(std::string_view bytes, size_t max_frame_bytes) {
   const uint32_t stored_crc =
       ReadLe<uint32_t>(bytes.data() + total - kFrameTrailerBytes);
   const uint32_t actual_crc =
-      core::Crc32(bytes.substr(0, total - kFrameTrailerBytes));
+      Crc32(bytes.substr(0, total - kFrameTrailerBytes));
   if (stored_crc != actual_crc) {
     return Status::DataLoss(StrCat("crc mismatch: frame carries 0x",
                                    CrcHex(stored_crc), ", computed 0x",

@@ -19,7 +19,7 @@
 //                                  with HAS_DEADLINE, else must be zero)
 //   29     ...   tenant id bytes
 //   ...    ...   payload bytes
-//   last   4     CRC-32 (IEEE, same polynomial as the checkpoint journal)
+//   last   4     CRC-32 (IEEE; common/journal.h's Crc32)
 //                over every preceding byte of the frame
 //
 // v2 appends the flags byte and the deadline to the v1 header, so every

@@ -1,9 +1,12 @@
-// Unit tests for the checkpoint journal (src/core/checkpoint.h): CRC-32,
-// record encode/decode round-trips, escaping, torn-record tolerance and
-// corruption detection.
+// Unit tests for the checkpoint journal (src/core/checkpoint.h) and the
+// shared line journal under it (src/common/journal.h): CRC-32, pinned
+// record bytes, encode/decode round-trips, escaping, torn-tail truncation
+// and corruption detection.
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,6 +19,21 @@ namespace {
 
 std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream contents;
+  contents << in.rdbuf();
+  return contents.str();
+}
+
+// Opens `path` and returns the records it already holds.
+Result<std::vector<JournalRecord>> Load(const std::string& path) {
+  std::vector<JournalRecord> records;
+  Result<CheckpointJournal> journal = CheckpointJournal::Open(path, &records);
+  if (!journal.ok()) return journal.status();
+  return records;
 }
 
 JournalRecord SampleRecord() {
@@ -34,6 +52,15 @@ TEST(Crc32Test, MatchesKnownVectors) {
   EXPECT_EQ(Crc32("123456789"), 0xcbf43926u);
   EXPECT_EQ(Crc32("The quick brown fox jumps over the lazy dog"),
             0x414fa339u);
+}
+
+// The on-disk bytes of one record, as written before the journal framing
+// moved to common/journal.h: existing journals must keep loading.
+TEST(JournalRecordTest, EncodedBytesArePinned) {
+  EXPECT_EQ(EncodeJournalRecord(SampleRecord()),
+            "9117eaee|v1|A3TGCN:CORR:0.40000000000000002:2:static|OK||3|3|"
+            "0.96981287892680601|0.33333333333333331|0.2857142857142857|"
+            "0|1|2");
 }
 
 TEST(JournalRecordTest, EncodeDecodeRoundTrip) {
@@ -95,6 +122,20 @@ TEST(JournalRecordTest, TruncatedLineIsDataLoss) {
   EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
 }
 
+TEST(JournalRecordTest, CrcFieldMustBeEightLowercaseHexDigits) {
+  const std::string line = EncodeJournalRecord(SampleRecord());
+  const std::string payload = line.substr(line.find('|'));
+  ASSERT_TRUE(DecodeJournalRecord(line).ok());
+  for (const std::string& crc : {std::string("9117EAEE"),
+                                 std::string("9117eae"),
+                                 std::string(" 9117eaee"),
+                                 std::string("0x9117eaee")}) {
+    EXPECT_EQ(DecodeJournalRecord(crc + payload).status().code(),
+              StatusCode::kDataLoss)
+        << crc;
+  }
+}
+
 TEST(JournalRecordTest, UnknownStatusCodeNameRejected) {
   // Build a structurally valid line with a bogus code by re-encoding.
   JournalRecord record = SampleRecord();
@@ -110,41 +151,67 @@ TEST(JournalRecordTest, UnknownStatusCodeNameRejected) {
 TEST(CheckpointJournalTest, AppendThenLoad) {
   std::string path = TempPath("journal_roundtrip.log");
   std::remove(path.c_str());
+  JournalRecord failed;
+  failed.key = "LSTM:CORR:0.2:5:static";
+  failed.cell_status = Status::Unavailable("injected fault");
   {
-    Result<CheckpointJournal> journal = CheckpointJournal::OpenForAppend(path);
+    std::vector<JournalRecord> records;
+    Result<CheckpointJournal> journal = CheckpointJournal::Open(path, &records);
     ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+    EXPECT_TRUE(records.empty());
     ASSERT_TRUE(journal.value().Append(SampleRecord()).ok());
-    JournalRecord failed;
-    failed.key = "LSTM:CORR:0.2:5:static";
-    failed.cell_status = Status::Unavailable("injected fault");
     ASSERT_TRUE(journal.value().Append(failed).ok());
   }
-  Result<std::vector<JournalRecord>> loaded = CheckpointJournal::Load(path);
+  // Append writes exactly the encoded lines.
+  EXPECT_EQ(ReadFile(path), EncodeJournalRecord(SampleRecord()) + "\n" +
+                                EncodeJournalRecord(failed) + "\n");
+  Result<std::vector<JournalRecord>> loaded = Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded.value().size(), 2u);
   EXPECT_EQ(loaded.value()[0].key, SampleRecord().key);
   EXPECT_EQ(loaded.value()[1].cell_status.code(), StatusCode::kUnavailable);
 }
 
-TEST(CheckpointJournalTest, MissingFileIsNotFound) {
-  Result<std::vector<JournalRecord>> loaded =
-      CheckpointJournal::Load(TempPath("journal_missing.log"));
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
+TEST(CheckpointJournalTest, MissingFileIsCreatedEmpty) {
+  std::string path = TempPath("journal_missing.log");
+  std::remove(path.c_str());
+  Result<std::vector<JournalRecord>> loaded = Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded.value().empty());
+  EXPECT_EQ(ReadFile(path), "");
+  // A journal whose directory does not exist cannot be opened.
+  EXPECT_EQ(Load(TempPath("no_such_dir/journal.log")).status().code(),
+            StatusCode::kInternal);
 }
 
-TEST(CheckpointJournalTest, TornTrailingRecordIsDroppedNotFatal) {
+TEST(CheckpointJournalTest, TornTrailingRecordIsTruncated) {
   std::string path = TempPath("journal_torn.log");
-  std::ofstream out(path, std::ios::trunc | std::ios::binary);
   std::string good = EncodeJournalRecord(SampleRecord());
-  out << good << "\n";
-  // Simulate a crash mid-append: half a record, no trailing newline.
-  out << good.substr(0, good.size() / 2);
-  out.close();
-  Result<std::vector<JournalRecord>> loaded = CheckpointJournal::Load(path);
+  {
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
+    out << good << "\n";
+    // Simulate a crash mid-append: half a record, no trailing newline.
+    out << good.substr(0, good.size() / 2);
+  }
+  Result<std::vector<JournalRecord>> loaded = Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded.value().size(), 1u);
   EXPECT_EQ(loaded.value()[0].key, SampleRecord().key);
+  // The torn bytes are gone from disk, so the next append starts a line.
+  EXPECT_EQ(ReadFile(path), good + "\n");
+}
+
+TEST(CheckpointJournalTest, UnterminatedFinalRecordIsTorn) {
+  // Every byte of the record landed but its newline did not: the append
+  // never completed, and keeping the line would glue the next append on.
+  std::string path = TempPath("journal_unterminated.log");
+  std::string good = EncodeJournalRecord(SampleRecord());
+  std::ofstream(path, std::ios::trunc | std::ios::binary)
+      << good << "\n" << good;
+  Result<std::vector<JournalRecord>> loaded = Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().size(), 1u);
+  EXPECT_EQ(ReadFile(path), good + "\n");
 }
 
 TEST(CheckpointJournalTest, MidFileCorruptionIsDataLoss) {
@@ -154,9 +221,11 @@ TEST(CheckpointJournalTest, MidFileCorruptionIsDataLoss) {
   out << good.substr(0, good.size() / 2) << "\n";  // corrupt FIRST line
   out << good << "\n";                             // valid line after it
   out.close();
-  Result<std::vector<JournalRecord>> loaded = CheckpointJournal::Load(path);
+  Result<std::vector<JournalRecord>> loaded = Load(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find(path + ":1:"), std::string::npos)
+      << loaded.status().message();
 }
 
 TEST(CheckpointJournalTest, AppendIsResumable) {
@@ -164,18 +233,21 @@ TEST(CheckpointJournalTest, AppendIsResumable) {
   std::string path = TempPath("journal_reopen.log");
   std::remove(path.c_str());
   {
-    Result<CheckpointJournal> journal = CheckpointJournal::OpenForAppend(path);
+    std::vector<JournalRecord> records;
+    Result<CheckpointJournal> journal = CheckpointJournal::Open(path, &records);
     ASSERT_TRUE(journal.ok());
     ASSERT_TRUE(journal.value().Append(SampleRecord()).ok());
   }
   {
-    Result<CheckpointJournal> journal = CheckpointJournal::OpenForAppend(path);
+    std::vector<JournalRecord> records;
+    Result<CheckpointJournal> journal = CheckpointJournal::Open(path, &records);
     ASSERT_TRUE(journal.ok());
+    EXPECT_EQ(records.size(), 1u);
     JournalRecord second = SampleRecord();
     second.key = "second";
     ASSERT_TRUE(journal.value().Append(second).ok());
   }
-  Result<std::vector<JournalRecord>> loaded = CheckpointJournal::Load(path);
+  Result<std::vector<JournalRecord>> loaded = Load(path);
   ASSERT_TRUE(loaded.ok());
   ASSERT_EQ(loaded.value().size(), 2u);
   EXPECT_EQ(loaded.value()[1].key, "second");

@@ -84,6 +84,15 @@ std::string TempPath(const std::string& name) {
   return std::string(::testing::TempDir()) + "/" + name;
 }
 
+// The records journaled at `path`.
+std::vector<core::JournalRecord> JournaledRecords(const std::string& path) {
+  std::vector<core::JournalRecord> records;
+  Result<core::CheckpointJournal> journal =
+      core::CheckpointJournal::Open(path, &records);
+  EXPECT_TRUE(journal.ok()) << journal.status().ToString();
+  return records;
+}
+
 // Runs this binary in --child-grid mode via /bin/sh and returns the
 // child's exit code (-1 if it did not exit normally). `env_prefix` is a
 // shell fragment like "EMAF_FAULT_SPEC='...' EMAF_NUM_THREADS=2".
@@ -134,10 +143,7 @@ TEST_F(FaultRecoveryTest, CrashAfterFirstCellThenResumeIsByteIdentical) {
                   crash_journal, crash_csv, false),
               fault::kCrashExitCode);
     // The crash left a journal with exactly the completed prefix.
-    Result<std::vector<core::JournalRecord>> journaled =
-        core::CheckpointJournal::Load(crash_journal);
-    ASSERT_TRUE(journaled.ok()) << journaled.status().ToString();
-    ASSERT_EQ(journaled.value().size(), 1u);
+    ASSERT_EQ(JournaledRecords(crash_journal).size(), 1u);
 
     // Resume skips the journaled cell and reproduces the reference bytes.
     ASSERT_EQ(RunChildGrid(env, crash_journal, resume_csv, true), 0);
@@ -157,11 +163,40 @@ TEST_F(FaultRecoveryTest, ResumeWithCompleteJournalRunsNothingNew) {
   // still emit the same report.
   ASSERT_EQ(RunChildGrid("EMAF_NUM_THREADS=1", journal, csv_b, true), 0);
   EXPECT_EQ(ReadFile(csv_b), ReadFile(csv_a));
-  Result<std::vector<core::JournalRecord>> journaled =
-      core::CheckpointJournal::Load(journal);
-  ASSERT_TRUE(journaled.ok());
   // Resume appends nothing new for already-recorded cells.
-  EXPECT_EQ(journaled.value().size(), Grid2x2().size());
+  EXPECT_EQ(JournaledRecords(journal).size(), Grid2x2().size());
+}
+
+// A crash mid-append leaves a torn final record. Resuming must cut it off
+// before appending: otherwise the next record lands on the torn line, and
+// a second resume either drops that cell or finds mid-file corruption.
+TEST_F(FaultRecoveryTest, ResumeAfterTornAppendCanResumeAgain) {
+  ASSERT_FALSE(g_self_path.empty());
+  const std::string env = "EMAF_NUM_THREADS=1";
+  std::string clean_journal = TempPath("torn_clean.journal");
+  std::string clean_csv = TempPath("torn_clean.csv");
+  std::string journal = TempPath("torn.journal");
+  std::string csv_a = TempPath("torn_a.csv");
+  std::string csv_b = TempPath("torn_b.csv");
+  std::remove(clean_journal.c_str());
+  ASSERT_EQ(RunChildGrid(env, clean_journal, clean_csv, false), 0);
+
+  // One good record plus the first half of the next, with no newline.
+  const std::string clean = ReadFile(clean_journal);
+  const size_t first_end = clean.find('\n') + 1;
+  const size_t second_end = clean.find('\n', first_end) + 1;
+  std::ofstream(journal, std::ios::binary | std::ios::trunc)
+      << clean.substr(0, first_end)
+      << clean.substr(first_end, (second_end - first_end) / 2);
+
+  // The first resume re-runs the three unjournaled cells...
+  ASSERT_EQ(RunChildGrid(env, journal, csv_a, true), 0);
+  EXPECT_EQ(ReadFile(csv_a), ReadFile(clean_csv));
+  // ...and a second resume reads every record back and runs nothing:
+  // each cell is journaled exactly once, byte for byte as in a clean run.
+  ASSERT_EQ(RunChildGrid(env, journal, csv_b, true), 0);
+  EXPECT_EQ(ReadFile(csv_b), ReadFile(clean_csv));
+  EXPECT_EQ(ReadFile(journal), clean);
 }
 
 TEST_F(FaultRecoveryTest, GracefulDegradationIsolatesFailedCell) {

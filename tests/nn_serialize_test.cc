@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "graph/adjacency.h"
 #include "models/registry.h"
 #include "nn/linear.h"
@@ -138,7 +139,7 @@ TEST(SerializeTest, SaveToUnwritablePathFails) {
   EXPECT_FALSE(status.ok());
 }
 
-// --- v3 dtype byte, v2 config embedding, v1 compatibility ------------------
+// --- v3 version word, dtype byte and config embedding ----------------------
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -146,62 +147,11 @@ std::string ReadFileBytes(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-// Rewrites an all-f64 v3 snapshot as the v2 layout: patch the version
-// word and drop each parameter's dtype byte. This is exactly the byte
-// stream pre-v3 builds wrote.
-std::string V3ToV2(const std::string& v3) {
-  EXPECT_GE(v3.size(), 16u);
-  std::string v2 = v3.substr(0, 4);
-  uint32_t version = 2;
-  v2.append(reinterpret_cast<const char*>(&version), sizeof(version));
-  size_t pos = 8;
-  uint64_t config_len = 0;
-  std::memcpy(&config_len, v3.data() + pos, sizeof(config_len));
-  v2.append(v3.substr(pos, 8 + config_len));  // config length + blob
-  pos += 8 + config_len;
-  uint64_t count = 0;
-  std::memcpy(&count, v3.data() + pos, sizeof(count));
-  v2.append(v3.substr(pos, 8));
-  pos += 8;
-  for (uint64_t p = 0; p < count; ++p) {
-    uint64_t name_len = 0;
-    std::memcpy(&name_len, v3.data() + pos, sizeof(name_len));
-    v2.append(v3.substr(pos, 8 + name_len));  // name length + name
-    pos += 8 + name_len;
-    EXPECT_EQ(v3[pos], '\0') << "expected an f64 dtype byte";
-    pos += 1;  // the dtype byte v2 lacks
-    uint64_t rank = 0;
-    std::memcpy(&rank, v3.data() + pos, sizeof(rank));
-    v2.append(v3.substr(pos, 8));
-    pos += 8;
-    uint64_t numel = 1;
-    for (uint64_t d = 0; d < rank; ++d) {
-      int64_t dim = 0;
-      std::memcpy(&dim, v3.data() + pos, sizeof(dim));
-      v2.append(v3.substr(pos, 8));
-      pos += 8;
-      numel *= static_cast<uint64_t>(dim);
-    }
-    v2.append(v3.substr(pos, numel * sizeof(double)));
-    pos += numel * sizeof(double);
-  }
-  EXPECT_EQ(pos, v3.size());
-  return v2;
-}
-
-// Rewrites a config-free v2 snapshot as the legacy v1 layout: patch the
-// version word and drop the (zero) config-length field. This is exactly
-// the byte stream pre-v2 builds wrote.
-std::string V2ToV1(const std::string& v2) {
-  EXPECT_GE(v2.size(), 16u);
-  uint64_t config_len = 0;
-  std::memcpy(&config_len, v2.data() + 8, sizeof(config_len));
-  EXPECT_EQ(config_len, 0u);
-  std::string v1 = v2.substr(0, 4);
-  uint32_t version = 1;
-  v1.append(reinterpret_cast<const char*>(&version), sizeof(version));
-  v1.append(v2.substr(16));  // skip v2's version + config_len
-  return v1;
+// Returns `bytes` with the snapshot version word set to `version`.
+std::string WithVersion(std::string bytes, uint32_t version) {
+  EXPECT_GE(bytes.size(), 8u);
+  std::memcpy(bytes.data() + 4, &version, sizeof(version));
+  return bytes;
 }
 
 TEST(SerializeTest, SaveAlwaysWritesV3) {
@@ -214,48 +164,32 @@ TEST(SerializeTest, SaveAlwaysWritesV3) {
   uint32_t version = 0;
   std::memcpy(&version, bytes.data() + 4, sizeof(version));
   EXPECT_EQ(version, 3u);
+  EXPECT_EQ(version, kSnapshotVersion);
 }
 
-TEST(SerializeTest, V2SnapshotStillLoads) {
-  Rng rng_a(1);
-  SmallNet net_a(&rng_a);
-  std::string v3_path = TempPath("compat_down_v3.emaf");
-  ASSERT_TRUE(SaveParameters(&net_a, v3_path).ok());
-
-  std::string v2_path = TempPath("compat_down_v2.emaf");
-  {
-    std::ofstream out(v2_path, std::ios::binary | std::ios::trunc);
-    out << V3ToV2(ReadFileBytes(v3_path));
+// v3 is the only readable version: the v1 (no config) and v2 (no dtype
+// byte) layouts, and any future one, are rejected on the version word
+// with a message naming the file and the version.
+TEST(SerializeTest, RejectsEveryVersionButV3) {
+  Rng rng(1);
+  SmallNet net(&rng);
+  std::string v3_path = TempPath("version_v3.emaf");
+  ASSERT_TRUE(SaveParameters(&net, v3_path, "family=TEST\n").ok());
+  for (uint32_t version : {0u, 1u, 2u, 4u}) {
+    SCOPED_TRACE(version);
+    std::string path = TempPath("version_other.emaf");
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        << WithVersion(ReadFileBytes(v3_path), version);
+    for (const Status& status :
+         {LoadParameters(&net, path), ReadSnapshotConfig(path).status()}) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(status.message().find(path), std::string::npos)
+          << status.message();
+      EXPECT_NE(status.message().find(StrCat("version ", version)),
+                std::string::npos)
+          << status.message();
+    }
   }
-  Rng rng_b(99);
-  SmallNet net_b(&rng_b);
-  ASSERT_TRUE(LoadParameters(&net_b, v2_path).ok());
-  Rng data_rng(3);
-  Tensor x = Tensor::Uniform(Shape{5, 3}, -1, 1, &data_rng);
-  EXPECT_EQ(net_a.Forward(x).ToVector(), net_b.Forward(x).ToVector());
-}
-
-TEST(SerializeTest, V1SnapshotStillLoads) {
-  Rng rng_a(1);
-  SmallNet net_a(&rng_a);
-  std::string v3_path = TempPath("compat_v3.emaf");
-  ASSERT_TRUE(SaveParameters(&net_a, v3_path).ok());
-
-  std::string v1_path = TempPath("compat_v1.emaf");
-  {
-    std::ofstream out(v1_path, std::ios::binary | std::ios::trunc);
-    out << V2ToV1(V3ToV2(ReadFileBytes(v3_path)));
-  }
-  Rng rng_b(99);
-  SmallNet net_b(&rng_b);
-  ASSERT_TRUE(LoadParameters(&net_b, v1_path).ok());
-  Rng data_rng(3);
-  Tensor x = Tensor::Uniform(Shape{5, 3}, -1, 1, &data_rng);
-  EXPECT_EQ(net_a.Forward(x).ToVector(), net_b.Forward(x).ToVector());
-  // A v1 file has no embedded config, reported as the empty blob.
-  Result<std::string> config = ReadSnapshotConfig(v1_path);
-  ASSERT_TRUE(config.ok());
-  EXPECT_EQ(config.value(), "");
 }
 
 // The dtype byte is load-bearing: a value outside the enum must be
@@ -429,63 +363,31 @@ TEST(SnapshotTest, LoadForecasterSnapshotRejectsV1Files) {
   Rng rng(11);
   std::unique_ptr<models::Forecaster> model =
       models::CreateForecasterOrDie(config, &rng);
-  // SaveParameters without a config emulates a pre-registry snapshot once
-  // rewritten to the v1 layout: no family to rebuild from.
+  // SaveParameters without a config writes a snapshot with no family to
+  // rebuild from; with its version word set to 1 it is a pre-registry file.
   std::string v3_path = TempPath("headless_v3.snapshot");
   ASSERT_TRUE(SaveParameters(model.get(), v3_path).ok());
   std::string v1_path = TempPath("headless_v1.snapshot");
-  {
-    std::ofstream out(v1_path, std::ios::binary | std::ios::trunc);
-    out << V2ToV1(V3ToV2(ReadFileBytes(v3_path)));
-  }
+  std::ofstream(v1_path, std::ios::binary | std::ios::trunc)
+      << WithVersion(ReadFileBytes(v3_path), 1);
   Rng load_rng(12);
+  // The serve path surfaces these to operators, so each message must say
+  // which file is bad and why.
   Result<std::unique_ptr<models::Forecaster>> restored =
       models::LoadForecasterSnapshot(v1_path, &load_rng);
   EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
-  // The serve path surfaces this to operators, so the message must say
-  // which file is bad and which versions are involved.
   EXPECT_NE(restored.status().message().find(v1_path), std::string::npos)
       << restored.status().message();
-  EXPECT_NE(restored.status().message().find("v1"), std::string::npos);
-  EXPECT_NE(restored.status().message().find("v2"), std::string::npos);
-}
-
-TEST(SerializeTest, ReadSnapshotVersionDistinguishesFormats) {
-  Rng rng(13);
-  SmallNet net(&rng);
-  std::string v3_path = TempPath("version_probe_v3.emaf");
-  ASSERT_TRUE(SaveParameters(&net, v3_path).ok());
-  Result<uint32_t> v3 = ReadSnapshotVersion(v3_path);
-  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
-  EXPECT_EQ(v3.value(), kSnapshotVersionWithDtype);
-
-  std::string v2_path = TempPath("version_probe_v2.emaf");
-  {
-    std::ofstream out(v2_path, std::ios::binary | std::ios::trunc);
-    out << V3ToV2(ReadFileBytes(v3_path));
-  }
-  Result<uint32_t> v2 = ReadSnapshotVersion(v2_path);
-  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-  EXPECT_EQ(v2.value(), kSnapshotVersionWithConfig);
-
-  std::string v1_path = TempPath("version_probe_v1.emaf");
-  {
-    std::ofstream out(v1_path, std::ios::binary | std::ios::trunc);
-    out << V2ToV1(ReadFileBytes(v2_path));
-  }
-  Result<uint32_t> v1 = ReadSnapshotVersion(v1_path);
-  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-  EXPECT_EQ(v1.value(), kSnapshotVersionParamsOnly);
-
-  EXPECT_EQ(ReadSnapshotVersion(TempPath("no_such_probe.emaf")).status().code(),
-            StatusCode::kNotFound);
-  std::string junk_path = TempPath("version_probe_junk.emaf");
-  {
-    std::ofstream out(junk_path, std::ios::binary | std::ios::trunc);
-    out << "JUNKJUNK";
-  }
-  EXPECT_EQ(ReadSnapshotVersion(junk_path).status().code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_NE(restored.status().message().find("version 1"), std::string::npos)
+      << restored.status().message();
+  Result<std::unique_ptr<models::Forecaster>> headless =
+      models::LoadForecasterSnapshot(v3_path, &load_rng);
+  EXPECT_EQ(headless.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(headless.status().message().find(v3_path), std::string::npos)
+      << headless.status().message();
+  EXPECT_NE(headless.status().message().find("empty embedded model config"),
+            std::string::npos)
+      << headless.status().message();
 }
 
 }  // namespace

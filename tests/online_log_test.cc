@@ -49,6 +49,16 @@ TEST(ObservationLineTest, RoundTripsBitExactly) {
   }
 }
 
+// The on-disk bytes of one row, as written before the journal framing
+// moved to common/journal.h: existing logs must keep loading.
+TEST(ObservationLineTest, EncodedBytesArePinned) {
+  EXPECT_EQ(EncodeObservationLine(41, std::vector<double>{1.0 / 3,
+                                                          -2.718281828459045,
+                                                          0.0, 1e-300}),
+            "e8b97d4d|v1|41|0.33333333333333331|-2.7182818284590451|0|"
+            "1e-300");
+}
+
 TEST(ObservationLineTest, RejectsCorruptionByField) {
   const std::string line = EncodeObservationLine(7, std::vector<double>{1.0});
   // Flip one payload byte: CRC mismatch.
@@ -56,9 +66,9 @@ TEST(ObservationLineTest, RejectsCorruptionByField) {
   corrupt[line.size() - 1] ^= 1;
   EXPECT_EQ(DecodeObservationLine(corrupt).status().code(),
             StatusCode::kDataLoss);
-  // Break the CRC field itself.
+  // Break the CRC field itself: as much data loss as a CRC mismatch.
   EXPECT_EQ(DecodeObservationLine("zzzz|v1|1|1.0").status().code(),
-            StatusCode::kInvalidArgument);
+            StatusCode::kDataLoss);
   EXPECT_EQ(DecodeObservationLine("no-delimiter").status().code(),
             StatusCode::kInvalidArgument);
 }

@@ -230,6 +230,47 @@ TEST(HotSwapTest, ReloadManifestGrowsAndRejectsMalformedWhole) {
   EXPECT_EQ(Served(store, "i1"), fresh);
 }
 
+// Store and publisher read a directory through one name parser: only
+// `<id>.v<N>.snapshot` is a version of `<id>`; `a.v2.b.snapshot` is the
+// plain tenant `a.v2.b` to both.
+TEST(HotSwapTest, StoreAndPublisherAgreeOnVersionedNames) {
+  const std::string dir = FreshDir("swap_names");
+  serve::testutil::MakeTinySnapshotDir(dir, {"i1"});
+  SaveDistinctSnapshot(dir, "a.v2.b.snapshot", 5);
+  SaveDistinctSnapshot(dir, "i1.v3.snapshot", 6);
+
+  Result<ModelStore> store = ModelStore::Open(dir);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ(store.value().individual_ids(),
+            (std::vector<std::string>{"a.v2.b", "i1"}));
+  ASSERT_TRUE(store.value().Publish("a.v2.b", dir + "/a.v2.b.snapshot").ok());
+  EXPECT_EQ(store.value().max_published_version(), 0u);
+
+  Result<online::SnapshotPublisher> publisher =
+      online::SnapshotPublisher::Open(dir);
+  ASSERT_TRUE(publisher.ok()) << publisher.status().ToString();
+  EXPECT_EQ(publisher.value().latest_version("a"), 0u);
+  EXPECT_EQ(publisher.value().latest_version("a.v2.b"), 0u);
+  EXPECT_EQ(publisher.value().latest_version("i1"), 3u);
+}
+
+// ... and through one MANIFEST reader: a duplicate id is rejected by both.
+TEST(HotSwapTest, StoreAndPublisherRejectDuplicateManifestIds) {
+  const std::string dir = FreshDir("swap_duplicate");
+  serve::testutil::MakeTinySnapshotDir(dir, {"i1", "i2"});
+  std::ofstream(dir + "/MANIFEST") << "i1\ti1.snapshot\n"
+                                   << "i1\ti2.snapshot\n";
+  Result<ModelStore> store = ModelStore::Open(dir);
+  Result<online::SnapshotPublisher> publisher =
+      online::SnapshotPublisher::Open(dir);
+  for (const Status& status : {store.status(), publisher.status()}) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("line 2: duplicate id \"i1\""),
+              std::string::npos)
+        << status.message();
+  }
+}
+
 TEST(HotSwapTest, PublishFaultLeavesOldVersionServing) {
   if (!fault::kFaultInjectionEnabled) GTEST_SKIP();
   const std::string dir = FreshDir("swap_pubfault");

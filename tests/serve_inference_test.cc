@@ -381,7 +381,7 @@ TEST_F(ServeTest, MissingAndEmptyDirectoriesAreNotFound) {
 
 TEST_F(ServeTest, LoadFaultSiteFailsTheLoad) {
   if (!fault::kFaultInjectionEnabled) GTEST_SKIP();
-  ASSERT_TRUE(fault::Configure("serve.load=1", 1).ok());
+  ASSERT_TRUE(fault::Configure("serve.store.load=1", 1).ok());
   Result<InferenceEngine> engine = InferenceEngine::Load(*dir_);
   EXPECT_EQ(engine.status().code(), StatusCode::kUnavailable);
   ASSERT_TRUE(fault::Configure("", 0).ok());

@@ -13,8 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/journal.h"
 #include "common/rng.h"
-#include "core/checkpoint.h"
 #include "serve/protocol.h"
 #include "tensor/tensor.h"
 
@@ -71,7 +71,7 @@ std::vector<Frame> AllFrameKinds() {
 // header field without also tripping the CRC check.
 void RestampCrc(std::string* bytes) {
   ASSERT_GE(bytes->size(), kFrameTrailerBytes);
-  const uint32_t crc = core::Crc32(
+  const uint32_t crc = Crc32(
       std::string_view(*bytes).substr(0, bytes->size() - kFrameTrailerBytes));
   std::memcpy(bytes->data() + bytes->size() - kFrameTrailerBytes, &crc, 4);
 }
@@ -272,7 +272,7 @@ TEST(ProtocolConformanceTest, V1FrameIsRejectedOnItsVersionByteBeforeCrc) {
   const uint64_t request_id = 42;
   v1.append(reinterpret_cast<const char*>(&request_id), 8);
   ASSERT_EQ(v1.size(), 20u);  // the v1 header size
-  const uint32_t crc = core::Crc32(v1);
+  const uint32_t crc = Crc32(v1);
   v1.append(reinterpret_cast<const char*>(&crc), 4);
 
   // One-shot decode: version named, both versions in the message. The

@@ -261,6 +261,7 @@ TEST_F(ModelStoreTest, MetricsRecordColdLoadsAndEvictions) {
 TEST_F(ModelStoreTest, V1SnapshotIsRejectedNamingFileAndVersion) {
   // Build a directory holding a v1 (config-less) snapshot via byte
   // surgery: strip the config-length field and patch the version word.
+  // Only v3 is readable, so the load fails on the version word.
   std::string v1_dir = ::testing::TempDir() + "/model_store_v1";
   std::filesystem::remove_all(v1_dir);
   ASSERT_TRUE(std::filesystem::create_directories(v1_dir));
@@ -281,7 +282,7 @@ TEST_F(ModelStoreTest, V1SnapshotIsRejectedNamingFileAndVersion) {
   {
     std::ofstream out(v1_path, std::ios::binary | std::ios::trunc);
     out << v2_bytes.substr(0, 4);
-    uint32_t version = nn::kSnapshotVersionParamsOnly;
+    uint32_t version = 1;
     out.write(reinterpret_cast<const char*>(&version), sizeof(version));
     out << v2_bytes.substr(16);  // skip v2's version + (zero) config_len
   }
@@ -290,11 +291,11 @@ TEST_F(ModelStoreTest, V1SnapshotIsRejectedNamingFileAndVersion) {
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   Result<ModelHandle> handle = store.value().Get("legacy");
   EXPECT_EQ(handle.status().code(), StatusCode::kInvalidArgument);
-  // The error names the offending file and both versions involved.
+  // The error names the offending file and its version.
   EXPECT_NE(handle.status().message().find(v1_path), std::string::npos)
       << handle.status().message();
-  EXPECT_NE(handle.status().message().find("v1"), std::string::npos);
-  EXPECT_NE(handle.status().message().find("v2"), std::string::npos);
+  EXPECT_NE(handle.status().message().find("version 1"), std::string::npos)
+      << handle.status().message();
   EXPECT_EQ(store.value().stats().load_failures, 1u);
   std::filesystem::remove_all(v1_dir);
 }
