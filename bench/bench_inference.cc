@@ -1,11 +1,12 @@
 // Serving-latency bench: trains all five forecaster families on one
-// synthetic individual, snapshots them, loads the serve::InferenceEngine,
-// and measures per-request forecast latency and heap allocations per
-// request with and without the inference arena. The "no_arena" pass calls
-// core::Predict directly on the loaded models (every tensor buffer is a
-// fresh heap allocation); the "arena" pass goes through the engine, whose
-// shared InferenceArena recycles buffers so steady-state requests
-// allocate nothing.
+// synthetic individual, snapshots them, opens the directory as a
+// serve::ModelStore, and measures per-request forecast latency and heap
+// allocations per request with and without the inference arena. The
+// "no_arena" pass calls core::Predict directly on the resident models
+// (every tensor buffer is a fresh heap allocation); the "arena" pass pins
+// the model with ModelStore::Get and runs serve::ExecuteForecast on the
+// module path through a shared InferenceArena, which recycles buffers so
+// steady-state requests allocate nothing.
 //
 // A third pass measures the multi-tenant ModelStore under a constrained
 // budget: 32 tiny snapshots on disk, 8 resident, a Zipf-ish request mix
@@ -15,12 +16,12 @@
 // around it, giving the cold-load vs warm-acquire latency split.
 //
 // A fourth pass measures compiled inference plans (src/plan/): the same
-// engine requests with EngineOptions.use_compiled_plans on vs off. The
-// "arena" pass pins use_compiled_plans=false so it keeps measuring the
-// module path (tape-free core::Predict through the shared arena); the
-// "plan" pass replays the recorded op plan and also reports how many
-// interpreter instructions each request executed and how many fused
-// elementwise chains the five compiled plans contain.
+// requests with ExecuteForecast handed the handle's plan cache
+// (ModelHandle::plans()) instead of nullptr. The "arena" pass keeps
+// measuring the module path (tape-free core::Predict through the shared
+// arena); the "plan" pass replays the recorded op plan and also reports
+// how many interpreter instructions each request executed and how many
+// fused elementwise chains the five compiled plans contain.
 //
 // Emits BENCH_inference.json (EMAF_BENCH_JSON_DIR, default cwd):
 //   {"bench": "inference", ..., "no_arena": {"p50_seconds", "p99_seconds",
@@ -33,11 +34,12 @@
 //    "dtype": {"f64": {"module": {...}, "plan": {...}},
 //     "f32": {"module": {...}, "plan": {...}},
 //     "max_abs_error_f32_vs_f64", "plan_p50_speedup_f32_vs_f64"}}
-// The dtype section compares EngineOptions::inference_dtype f64 vs f32
-// over the same snapshots: the four paths run interleaved request by
-// request, max_abs_error_f32_vs_f64 is the largest forecast-element
-// divergence of the f32 plan path from the f64 plan path across the five
-// families, and the speedup field is f64-plan p50 over f32-plan p50.
+// The dtype section compares stores opened with ModelStoreOptions::
+// load_dtype f64 vs f32 over the same snapshots: the four paths run
+// interleaved request by request, max_abs_error_f32_vs_f64 is the largest
+// forecast-element divergence of the f32 plan path from the f64 plan path
+// across the five families, and the speedup field is f64-plan p50 over
+// f32-plan p50.
 // allocs_per_request comes from the tensor.storage_allocs counter and is
 // reported as -1 (like the plan instruction/fusion fields) when the build
 // has metrics compiled out.
@@ -50,6 +52,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -63,7 +66,7 @@
 #include "graph/construction.h"
 #include "models/registry.h"
 #include "models/var_forecaster.h"
-#include "serve/inference_engine.h"
+#include "serve/forecast_op.h"
 #include "serve/model_store.h"
 #include "tensor/ops.h"
 
@@ -269,47 +272,61 @@ void Run() {
     EMAF_CHECK(saved.ok()) << saved.ToString();
   }
 
-  // Two engines over the same snapshots: `engine` pins the module path
-  // (plans off) so the no_arena/arena passes keep their historical
-  // meaning; `plan_engine` serves from compiled plans (the default).
-  serve::EngineOptions module_options;
-  module_options.use_compiled_plans = false;
-  Result<serve::InferenceEngine> engine = serve::InferenceEngine::Load(
-      dir.string(), module_options);
-  EMAF_CHECK(engine.ok()) << engine.status().ToString();
-  Result<serve::InferenceEngine> plan_engine = serve::InferenceEngine::Load(
-      dir.string());
-  EMAF_CHECK(plan_engine.ok()) << plan_engine.status().ToString();
-  // The same two paths with f32 residents: cold-loads cast the weights,
+  // Two stores over the same snapshots: `f64_store` keeps residents in f64
+  // (the bit-pinned path), `f32_store` cold-loads them cast to f32, so
   // requests run the f32 kernels and cast window/forecast at the boundary.
-  serve::EngineOptions f32_module_options;
-  f32_module_options.use_compiled_plans = false;
-  f32_module_options.inference_dtype = tensor::DType::kF32;
-  Result<serve::InferenceEngine> f32_engine = serve::InferenceEngine::Load(
-      dir.string(), f32_module_options);
-  EMAF_CHECK(f32_engine.ok()) << f32_engine.status().ToString();
-  serve::EngineOptions f32_plan_options;
-  f32_plan_options.inference_dtype = tensor::DType::kF32;
-  Result<serve::InferenceEngine> f32_plan_engine = serve::InferenceEngine::Load(
-      dir.string(), f32_plan_options);
-  EMAF_CHECK(f32_plan_engine.ok()) << f32_plan_engine.status().ToString();
-  std::vector<std::string> ids = engine.value().individual_ids();
+  Result<serve::ModelStore> f64_store =
+      serve::ModelStore::Open(dir.string());
+  EMAF_CHECK(f64_store.ok()) << f64_store.status().ToString();
+  serve::ModelStoreOptions f32_options;
+  f32_options.load_dtype = tensor::DType::kF32;
+  Result<serve::ModelStore> f32_store =
+      serve::ModelStore::Open(dir.string(), f32_options);
+  EMAF_CHECK(f32_store.ok()) << f32_store.status().ToString();
+  std::vector<std::string> ids = f64_store.value().individual_ids();
   Rng window_rng(scale.seed + 1);
   tensor::Tensor window = tensor::Tensor::Uniform(
       tensor::Shape{1, seq, person.num_variables()}, -1, 1, &window_rng);
 
-  // Warm up every path once per model so lazy first-request work (arena
-  // cold misses, page faults in fresh weights, plan compilation) stays
-  // out of the timings. The fused-chain delta around the plan warm-up is
-  // the chain count across the five compiled plans.
+  // The four timed paths: module vs plan, f64 vs f32. Each has its own
+  // arena, so the module path's hit rate is its own.
+  struct TimedPath {
+    serve::ModelStore* store;
+    bool use_plans;
+    tensor::InferenceArena arena;
+    std::vector<double> latencies;
+    uint64_t allocs = 0;
+  };
+  TimedPath paths[4] = {{&f64_store.value(), false, {}, {}, 0},
+                        {&f64_store.value(), true, {}, {}, 0},
+                        {&f32_store.value(), false, {}, {}, 0},
+                        {&f32_store.value(), true, {}, {}, 0}};
+  // One request the way the server runs it: pin the model, then execute
+  // it on the path's arena through the plan cache or the module graph.
+  auto forecast = [&](TimedPath& path, const std::string& id) {
+    Result<serve::ModelHandle> handle = path.store->Get(id);
+    EMAF_CHECK(handle.ok()) << handle.status().ToString();
+    Result<tensor::Tensor> out = serve::ExecuteForecast(
+        handle.value().get(), id, window, &path.arena,
+        path.use_plans ? handle.value().plans() : nullptr);
+    EMAF_CHECK(out.ok()) << out.status().ToString();
+    return std::move(out).value();
+  };
+
+  // Warm up every path once per model so lazy first-request work (cold
+  // loads, arena cold misses, page faults in fresh weights, plan
+  // compilation) stays out of the timings. The fused-chain delta around
+  // the plan warm-up is the chain count across the five compiled plans.
   uint64_t chains_before =
       obs::Registry::Global().GetCounter("plan.fused_chains")->value();
+  std::map<std::string, serve::ModelHandle> residents;
   for (const std::string& id : ids) {
-    core::Predict(engine.value().model(id), window);
-    Result<tensor::Tensor> warm = engine.value().Forecast(id, window);
-    EMAF_CHECK(warm.ok()) << warm.status().ToString();
-    Result<tensor::Tensor> compiled = plan_engine.value().Forecast(id, window);
-    EMAF_CHECK(compiled.ok()) << compiled.status().ToString();
+    Result<serve::ModelHandle> handle = f64_store.value().Get(id);
+    EMAF_CHECK(handle.ok()) << handle.status().ToString();
+    core::Predict(handle.value().get(), window);
+    residents.emplace(id, std::move(handle).value());
+    forecast(paths[0], id);
+    forecast(paths[1], id);
   }
   // Counted before the f32 warm-ups so the field keeps meaning "chains in
   // the five f64 plans" (the f32 plans fuse identically anyway).
@@ -318,39 +335,26 @@ void Run() {
       chains_before;
   double max_abs_error = 0.0;
   for (const std::string& id : ids) {
-    Result<tensor::Tensor> f32_warm = f32_engine.value().Forecast(id, window);
-    EMAF_CHECK(f32_warm.ok()) << f32_warm.status().ToString();
-    Result<tensor::Tensor> f32_compiled =
-        f32_plan_engine.value().Forecast(id, window);
-    EMAF_CHECK(f32_compiled.ok()) << f32_compiled.status().ToString();
-    Result<tensor::Tensor> f64_ref = plan_engine.value().Forecast(id, window);
-    EMAF_CHECK(f64_ref.ok()) << f64_ref.status().ToString();
+    forecast(paths[2], id);
+    tensor::Tensor f32_compiled = forecast(paths[3], id);
+    tensor::Tensor f64_ref = forecast(paths[1], id);
     // Accuracy cost of serving in f32, measured on the wire (both outputs
     // are f64 doubles): the largest per-element divergence from the
     // bit-pinned f64 plan path.
-    const double* ref = f64_ref.value().data();
-    const double* got = f32_compiled.value().data();
-    for (int64_t i = 0; i < f64_ref.value().NumElements(); ++i) {
+    const double* ref = f64_ref.data();
+    const double* got = f32_compiled.data();
+    for (int64_t i = 0; i < f64_ref.NumElements(); ++i) {
       max_abs_error = std::max(max_abs_error, std::abs(ref[i] - got[i]));
     }
   }
 
   PassStats no_arena = TimedPass(ids, requests, [&](const std::string& id) {
-    core::Predict(engine.value().model(id), window);
+    core::Predict(residents.at(id).get(), window);
   });
   // Module vs plan and f64 vs f32, interleaved request by request: all
   // four paths see the same machine-noise profile, so their p50 deltas
   // reflect the execution paths rather than whichever pass a background
   // hiccup landed on.
-  struct TimedPath {
-    serve::InferenceEngine* engine;
-    std::vector<double> latencies;
-    uint64_t allocs = 0;
-  };
-  TimedPath paths[4] = {{&engine.value(), {}, 0},
-                        {&plan_engine.value(), {}, 0},
-                        {&f32_engine.value(), {}, 0},
-                        {&f32_plan_engine.value(), {}, 0}};
   for (TimedPath& path : paths) {
     path.latencies.reserve(static_cast<size_t>(requests));
   }
@@ -367,12 +371,11 @@ void Run() {
                        ->value()
                  : 0;
       auto start = std::chrono::steady_clock::now();
-      Result<tensor::Tensor> out = paths[p].engine->Forecast(id, window);
+      forecast(paths[p], id);
       paths[p].latencies.push_back(
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)
               .count());
-      EMAF_CHECK(out.ok()) << out.status().ToString();
       paths[p].allocs += StorageAllocs() - allocs;
       if (p == 1) {
         instructions_total += obs::Registry::Global()
@@ -405,7 +408,7 @@ void Run() {
       finish_pass(std::move(paths[3].latencies), paths[3].allocs);
   double plan_speedup =
       f32_plan.p50_seconds > 0 ? plan.p50_seconds / f32_plan.p50_seconds : 0.0;
-  tensor::InferenceArena::Stats arena_stats = engine.value().arena_stats();
+  tensor::InferenceArena::Stats arena_stats = paths[0].arena.stats();
   double hit_rate =
       arena_stats.hits + arena_stats.misses == 0
           ? 0.0
@@ -448,8 +451,8 @@ void Run() {
       "}, \"max_abs_error_f32_vs_f64\": ", max_abs_error,
       ", \"plan_p50_speedup_f32_vs_f64\": ", plan_speedup,
       ", \"resident_bytes\": {\"f64\": ",
-      engine.value().store().stats().resident_bytes,
-      ", \"f32\": ", f32_engine.value().store().stats().resident_bytes,
+      f64_store.value().stats().resident_bytes,
+      ", \"f32\": ", f32_store.value().stats().resident_bytes,
       "}}}");
 
   std::cout << "requests per pass: " << requests << " across " << ids.size()

@@ -39,6 +39,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -128,15 +129,12 @@ Status BuildManifestDir(const std::string& dir, const ServingScale& scale) {
         model.get(), config, dir + "/" + rel));
     relpaths.push_back(rel);
   }
-  std::ofstream manifest(dir + "/" + serve::kManifestFilename);
-  if (!manifest) return Status::Internal("cannot write MANIFEST");
-  manifest << "# tenant id -> snapshot; " << scale.tenants
-           << " tenants over " << scale.unique_snapshots << " snapshots\n";
+  std::map<std::string, std::string> manifest;
   for (int64_t t = 0; t < scale.tenants; ++t) {
-    manifest << "tenant-" << t << "\t"
-             << relpaths[static_cast<size_t>(t) % relpaths.size()] << "\n";
+    manifest.emplace(StrCat("tenant-", t),
+                     relpaths[static_cast<size_t>(t) % relpaths.size()]);
   }
-  return Status::Ok();
+  return serve::WriteManifest(dir, manifest);
 }
 
 // Tenant popularity ~ 1/rank^s (rank 0 most popular). Sampling is a

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
       graph::BuildSimilarityGraph(train_rows, options), 0.2);
 
   // 1. Train MTGNN with graph learning initialized from the prior, built
-  //    through the model registry (the grid's and the serving engine's
+  //    through the model registry (the grid's and the model store's
   //    construction path).
   Rng rng(11);
   models::ModelConfig mtgnn_model_config;
@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
   double mtgnn_mse = core::EvaluateMse(mtgnn, split.test);
   std::cout << "MTGNN test MSE: " << FormatFixed(mtgnn_mse, 3) << "\n";
 
-  // 2. Checkpoint the trained model as a v2 snapshot (embedded config), so
-  //    serve::InferenceEngine can rebuild it without this source file.
+  // 2. Checkpoint the trained model as a snapshot (embedded config), so
+  //    serve::ModelStore can rebuild it without this source file.
   std::string ckpt = output_dir + "/mtgnn_individual0.snapshot";
   Status saved =
       models::SaveForecasterSnapshot(mtgnn, mtgnn_model_config, ckpt);

@@ -2,7 +2,7 @@
 // graph over the 26 items, train the MTGNN forecaster and the LSTM
 // baseline through the model registry, compare their 1-lag test MSE, then
 // snapshot the winner and answer a forecast request through the serving
-// engine.
+// path (ModelStore + ExecuteForecast).
 //
 //   ./build/examples/quickstart
 
@@ -16,7 +16,9 @@
 #include "data/generator.h"
 #include "graph/construction.h"
 #include "models/registry.h"
-#include "serve/inference_engine.h"
+#include "serve/forecast_op.h"
+#include "serve/model_store.h"
+#include "tensor/arena.h"
 #include "ts/window.h"
 
 int main() {
@@ -52,7 +54,7 @@ int main() {
 
   // 4. Train MTGNN (graph learning on, correlation prior) and LSTM, both
   //    built through the model registry — the same construction path the
-  //    experiment grid and the serving engine use.
+  //    experiment grid and the model store use.
   core::TrainConfig train;
   train.epochs = 40;  // demo scale; the paper trains 300
 
@@ -79,9 +81,10 @@ int main() {
   std::cout << "test MSE  MTGNN_CORR: " << mtgnn_mse << "\n";
   std::cout << "test MSE  LSTM:       " << lstm_mse << "\n";
 
-  // 5. Serve: snapshot the trained MTGNN (v2 format, config embedded) into
-  //    a directory and answer a request through the inference engine — the
-  //    tape-free, arena-backed path a deployment would run.
+  // 5. Serve: snapshot the trained MTGNN (config embedded) into a
+  //    directory, open it as a model store and answer a request through
+  //    the model's compiled plan — the tape-free, arena-backed path the
+  //    server runs.
   std::filesystem::path snapshot_dir =
       std::filesystem::temp_directory_path() / "emaf_quickstart_snapshots";
   std::filesystem::create_directories(snapshot_dir);
@@ -93,17 +96,24 @@ int main() {
     return 1;
   }
 
-  Result<serve::InferenceEngine> engine =
-      serve::InferenceEngine::Load(snapshot_dir.string());
-  if (!engine.ok()) {
-    std::cerr << "engine load failed: " << engine.status().ToString() << "\n";
+  Result<serve::ModelStore> store =
+      serve::ModelStore::Open(snapshot_dir.string());
+  if (!store.ok()) {
+    std::cerr << "store open failed: " << store.status().ToString() << "\n";
+    return 1;
+  }
+  Result<serve::ModelHandle> handle = store.value().Get(person.id);
+  if (!handle.ok()) {
+    std::cerr << "model load failed: " << handle.status().ToString() << "\n";
     return 1;
   }
   tensor::Tensor last_window = tensor::Slice(
       split.test.inputs, 0, split.test.num_windows() - 1,
       split.test.num_windows());
+  tensor::InferenceArena arena;
   Result<tensor::Tensor> forecast =
-      engine.value().Forecast(person.id, last_window);
+      serve::ExecuteForecast(handle.value().get(), person.id, last_window,
+                             &arena, handle.value().plans());
   if (!forecast.ok()) {
     std::cerr << "forecast failed: " << forecast.status().ToString() << "\n";
     return 1;

@@ -1,11 +1,12 @@
-// VAR(L) ridge baseline wrapped as a Forecaster Module.
+// VAR(L) ridge-regression baseline as a Forecaster Module.
 //
-// VarBaseline (var_baseline.h) is the closed-form fit and is not a Module,
-// so it cannot be snapshotted or served. This adapter registers the
-// coefficient matrix as a module parameter and reproduces
-// VarBaseline::Predict bit-for-bit in Forward, which makes VAR
-// constructible through the registry, serializable through nn::serialize,
-// and servable through serve::InferenceEngine like the neural families.
+// The classic comparator in the psychopathology-network literature
+// (Section II-A): a linear map from the flattened window to the next step,
+// fit in closed form with ridge regularization — there is no iterative
+// training. The coefficient matrix is a registered module parameter, so
+// VAR is constructible through the registry, serializable through
+// nn::serialize, and servable through serve::ModelStore like the neural
+// families.
 
 #ifndef EMAF_MODELS_VAR_FORECASTER_H_
 #define EMAF_MODELS_VAR_FORECASTER_H_
@@ -18,8 +19,7 @@
 namespace emaf::models {
 
 struct VarConfig {
-  // L2 penalty on the coefficients (intercept unpenalized), matching
-  // VarBaseline's default.
+  // L2 penalty on the coefficients (intercept unpenalized).
   double ridge = 1.0;
 };
 
@@ -29,12 +29,11 @@ class VarForecaster : public Forecaster {
                 const VarConfig& config);
 
   // Closed-form ridge fit on inputs [B, L, V] -> targets [B, V]; the
-  // resulting coefficients land in the registered parameter. Delegates to
-  // VarBaseline so the arithmetic is identical to the standalone baseline.
+  // resulting coefficients land in the registered parameter.
   void Fit(const Tensor& inputs, const Tensor& targets);
 
-  // Identical arithmetic to VarBaseline::Predict. Before Fit (or a
-  // parameter load) the coefficients are zero and the forecast is zero.
+  // design([window, 1]) x coefficients. Before Fit (or a parameter load)
+  // the coefficients are zero and the forecast is zero.
   Tensor Forward(const Tensor& window) override;
 
   std::string name() const override { return "VAR"; }
@@ -51,6 +50,11 @@ class VarForecaster : public Forecaster {
   double ridge_;
   Tensor* coefficients_;
 };
+
+// Solves the symmetric positive-definite system A x = b (Cholesky); the
+// ridge fit's normal equations. Exposed for tests. A: [n, n], b: [n, m]
+// -> x: [n, m].
+Tensor SolveSpd(const Tensor& a, const Tensor& b);
 
 }  // namespace emaf::models
 

@@ -14,12 +14,6 @@
 
 namespace emaf::online {
 
-namespace {
-
-constexpr char kSnapshotExtension[] = ".snapshot";
-
-}  // namespace
-
 struct SnapshotPublisher::Impl {
   std::string dir;
   mutable std::mutex mu;
@@ -47,8 +41,8 @@ Result<SnapshotPublisher> SnapshotPublisher::Open(const std::string& dir) {
   // not MANIFEST still mentions it — monotonicity must survive restarts.
   for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
     if (!entry.is_regular_file()) continue;
-    const auto versioned = serve::ParseVersionedName(
-        entry.path().filename().string(), kSnapshotExtension);
+    const auto versioned =
+        serve::ParseVersionedName(entry.path().filename().string());
     if (!versioned.has_value()) continue;
     uint64_t& version = impl.versions[versioned->first];
     version = std::max(version, versioned->second);
@@ -83,7 +77,7 @@ Result<PublishedSnapshot> SnapshotPublisher::Publish(
   std::lock_guard<std::mutex> lock(impl_->mu);
   const uint64_t version = impl_->versions[id] + 1;
   const std::string filename =
-      StrCat(id, ".v", version, kSnapshotExtension);
+      StrCat(id, ".v", version, serve::kSnapshotExtension);
   const fs::path full = fs::path(impl_->dir) / filename;
   const fs::path tmp = fs::path(impl_->dir) / StrCat(".", filename, ".tmp");
   Status saved = models::SaveForecasterSnapshot(model, config, tmp.string());

@@ -1,6 +1,6 @@
-// The one forecast operation every serving path executes, factored out so
-// the direct engine path and the scheduler's micro-batch path share a
-// single definition of the request contract:
+// The one forecast operation every serving path executes — a direct
+// in-process call on a ModelStore handle and the scheduler's micro-batch
+// path share a single definition of the request contract:
 //
 //   - metrics: serve.requests_total is bumped and serve.request_seconds
 //     observed for every executed request, whichever path ran it;
@@ -13,8 +13,8 @@
 //     "Compiled plans") — with automatic module fallback when the plan
 //     cannot compile or fault site plan.execute/<id> fires.
 //
-// Callers hand in an already-resident model (a pinned ModelStore handle or
-// an eagerly loaded engine model); this layer never loads or evicts.
+// Callers hand in an already-resident model (a pinned ModelStore handle);
+// this layer never loads or evicts.
 
 #ifndef EMAF_SERVE_FORECAST_OP_H_
 #define EMAF_SERVE_FORECAST_OP_H_

@@ -25,6 +25,9 @@ namespace internal {
 
 struct StoreEntry {
   std::string id;
+  // path, file_bytes and resident_bytes are rewritten by Publish and
+  // Invalidate, so they are read and written under the owning shard's
+  // mutex only.
   std::string path;
   int64_t file_bytes = 0;
   // Actual in-memory parameter bytes of the loaded model (reflecting the
@@ -60,6 +63,17 @@ struct StoreEntry {
 }  // namespace internal
 
 using internal::StoreEntry;
+
+namespace {
+
+// Lock shards for the entry maps.
+constexpr size_t kNumShards = 8;
+// Seed for model construction. Irrelevant to the forecasts — every weight
+// is overwritten by the snapshot load — but fixed so the store itself is
+// deterministic.
+constexpr uint64_t kModelSeed = 0x5e59edULL;
+
+}  // namespace
 
 // --- ModelHandle -----------------------------------------------------------
 
@@ -355,7 +369,8 @@ Status WriteManifest(const std::string& dir,
 }
 
 std::optional<std::pair<std::string, uint64_t>> ParseVersionedName(
-    std::string_view filename, std::string_view extension) {
+    std::string_view filename) {
+  const std::string_view extension = kSnapshotExtension;
   if (!filename.ends_with(extension)) return std::nullopt;
   const std::string_view stem =
       filename.substr(0, filename.size() - extension.size());
@@ -402,8 +417,8 @@ Result<ModelStore> ModelStore::Open(const std::string& snapshot_dir,
       // Publisher artifacts are versions of an id, reached via the MANIFEST
       // the publisher rewrites (authoritative above) or an explicit
       // Publish — never tenants of their own.
-      if (path.extension() != options.extension ||
-          ParseVersionedName(path.filename().string(), options.extension)) {
+      if (path.extension() != kSnapshotExtension ||
+          ParseVersionedName(path.filename().string())) {
         continue;
       }
       listed.emplace_back(path.stem().string(), path.filename().string());
@@ -414,7 +429,7 @@ Result<ModelStore> ModelStore::Open(const std::string& snapshot_dir,
     }
     if (listed.empty()) {
       return Status::NotFound(
-          StrCat("no *", options.extension, " snapshots in ", snapshot_dir));
+          StrCat("no *", kSnapshotExtension, " snapshots in ", snapshot_dir));
     }
   }
   for (auto& [id, path] : listed) {
@@ -428,9 +443,8 @@ Result<ModelStore> ModelStore::Open(const std::string& snapshot_dir,
   Impl& impl = *store.impl_;
   impl.options = options;
   impl.snapshot_dir = snapshot_dir;
-  impl.options.num_shards = std::max<int64_t>(1, options.num_shards);
-  impl.shards.reserve(static_cast<size_t>(impl.options.num_shards));
-  for (int64_t i = 0; i < impl.options.num_shards; ++i) {
+  impl.shards.reserve(kNumShards);
+  for (size_t i = 0; i < kNumShards; ++i) {
     impl.shards.push_back(std::make_unique<Impl::Shard>());
   }
   for (const auto& [id, path] : listed) {
@@ -481,6 +495,11 @@ Result<ModelHandle> ModelStore::Get(const std::string& id) {
   Impl::Shard& shard = impl_->ShardFor(id);
   std::shared_ptr<StoreEntry> entry;
   uint64_t load_generation = 0;
+  // What the cold load reads of the entry, copied under the shard lock:
+  // Publish and Invalidate rewrite those fields under that lock while the
+  // load runs without it.
+  std::string path;
+  int64_t admission_bytes = 0;
   {
     std::unique_lock<std::mutex> lock(shard.mu);
     auto it = shard.entries.find(id);
@@ -516,6 +535,17 @@ Result<ModelHandle> ModelStore::Get(const std::string& id) {
     }
     entry->loading = true;
     load_generation = entry->generation;
+    path = entry->path;
+    // Admission estimate: a reload knows its exact in-memory size from the
+    // previous residency; a first-time load scales the snapshot file size
+    // by the load dtype (the payload is raw f64 weights, so an f32
+    // resident lands near half of it).
+    admission_bytes = entry->resident_bytes;
+    if (admission_bytes == 0) {
+      admission_bytes = impl_->options.load_dtype == tensor::DType::kF32
+                            ? entry->file_bytes / 2
+                            : entry->file_bytes;
+    }
   }
 
   // Cold path — no locks held for admission or the disk load.
@@ -528,16 +558,6 @@ Result<ModelHandle> ModelStore::Get(const std::string& id) {
     return status;
   };
 
-  // Admission estimate: a reload knows its exact in-memory size from the
-  // previous residency; a first-time load scales the snapshot file size
-  // by the load dtype (the payload is raw f64 weights, so an f32 resident
-  // lands near half of it).
-  int64_t admission_bytes = entry->resident_bytes;
-  if (admission_bytes == 0) {
-    admission_bytes = impl_->options.load_dtype == tensor::DType::kF32
-                          ? entry->file_bytes / 2
-                          : entry->file_bytes;
-  }
   Status admitted = impl_->EnsureBudgetFor(admission_bytes);
   if (!admitted.ok()) return fail(admitted);
 
@@ -547,10 +567,9 @@ Result<ModelHandle> ModelStore::Get(const std::string& id) {
     return fail(
         Status::Unavailable(StrCat("injected fault: serve.store.load/", id)));
   }
-  Rng rng(impl_->options.seed);
+  Rng rng(kModelSeed);
   Result<std::unique_ptr<models::Forecaster>> loaded =
-      models::LoadForecasterSnapshot(entry->path, &rng,
-                                     impl_->options.load_dtype);
+      models::LoadForecasterSnapshot(path, &rng, impl_->options.load_dtype);
   if (!loaded.ok()) {
     impl_->load_failures.fetch_add(1, std::memory_order_relaxed);
     EMAF_METRIC_COUNTER_ADD("serve.store.load_failures_total", 1);
@@ -626,8 +645,8 @@ Status ModelStore::Publish(const std::string& id, const std::string& path,
   uintmax_t bytes = fs::file_size(path, ec);
   const int64_t file_bytes = ec ? 0 : static_cast<int64_t>(bytes);
   if (version == 0) {
-    const auto versioned = ParseVersionedName(
-        fs::path(path).filename().string(), impl_->options.extension);
+    const auto versioned =
+        ParseVersionedName(fs::path(path).filename().string());
     if (versioned.has_value()) version = versioned->second;
   }
 

@@ -22,9 +22,9 @@
 // bitwise identical to a never-evicted instance — any eviction/reload
 // schedule serves the same bytes.
 //
-// Concurrency: entries are sharded by id hash; each shard has one mutex.
-// No path ever holds two locks, and disk loads run outside any lock —
-// concurrent Get()s of one id coalesce on a per-shard condition variable
+// Concurrency: entries are sharded by id hash over 8 shards; each shard
+// has one mutex. No path ever holds two locks, and disk loads run outside
+// any lock — concurrent Get()s of one id coalesce on a per-shard condition variable
 // (single-flight), concurrent Get()s of different ids on different shards
 // never contend. Pin release is a lock-free atomic decrement.
 //
@@ -71,14 +71,12 @@ class PlanCache;
 
 namespace emaf::serve {
 
+// Snapshot filename extension: the stem of `<id>.snapshot` is the
+// individual id ("i07.snapshot" serves individual "i07"). Shared with
+// online::SnapshotPublisher, which writes `<id>.v<N>.snapshot`.
+inline constexpr char kSnapshotExtension[] = ".snapshot";
+
 struct ModelStoreOptions {
-  // Snapshot filename extension looked for in the directory; the stem is
-  // the individual id ("i07.snapshot" serves individual "i07").
-  std::string extension = ".snapshot";
-  // Seed for model construction. Irrelevant to the forecasts — every
-  // weight is overwritten by the snapshot load — but fixed so the store
-  // itself is deterministic.
-  uint64_t seed = 0x5e59edULL;
   // Residency budget. <= 0 means unlimited. A Get() that would exceed a
   // budget evicts LRU idle models first and fails with kResourceExhausted
   // only when nothing is evictable.
@@ -94,8 +92,6 @@ struct ModelStoreOptions {
   // f32 op/plan kernels. The forecast path converts request windows and
   // outputs at the boundary, so wire bytes stay doubles either way.
   tensor::DType load_dtype = tensor::DType::kF64;
-  // Lock sharding for the entry maps; clamped to >= 1.
-  int64_t num_shards = 8;
 };
 
 namespace internal {
@@ -160,15 +156,15 @@ Result<std::vector<std::pair<std::string, std::string>>> ReadManifest(
 Status WriteManifest(const std::string& dir,
                      const std::map<std::string, std::string>& entries);
 
-// The one versioned-filename parser: `<id>.v<N><extension>` with N >= 1
+// The one versioned-filename parser: `<id>.v<N>.snapshot` with N >= 1
 // -> (id, N), the names online::SnapshotPublisher writes. nullopt for any
 // other name — `a.v2.b.snapshot` is the plain tenant `a.v2.b`.
 std::optional<std::pair<std::string, uint64_t>> ParseVersionedName(
-    std::string_view filename, std::string_view extension);
+    std::string_view filename);
 
 class ModelStore {
  public:
-  // Lists every `<id><extension>` file in `snapshot_dir` (sorted by id)
+  // Lists every `<id>.snapshot` file in `snapshot_dir` (sorted by id)
   // without loading any of them; versioned publisher files (see
   // ParseVersionedName) are versions of an id, not tenants, and are
   // skipped. Fails with kNotFound when the directory is missing or holds
@@ -214,7 +210,7 @@ class ModelStore {
   // version); the next Get() cold-loads `path`. An unknown `id` is
   // registered as a new tenant. `version` feeds the store's monotonic
   // published-version watermark; 0 derives it from a versioned filename
-  // (ParseVersionedName with the store's extension) when present.
+  // (ParseVersionedName) when present.
   //   kNotFound — `path` is not a readable file (the store is unchanged).
   Status Publish(const std::string& id, const std::string& path,
                  uint64_t version = 0);

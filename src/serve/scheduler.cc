@@ -160,9 +160,7 @@ void RequestScheduler::Execute(Batch* batch) {
             if (handle.ok()) {
               pending.slot->result.emplace(ExecuteForecast(
                   handle.value().get(), pending.request.individual_id,
-                  pending.request.window, arena_,
-                  options_.use_compiled_plans ? handle.value().plans()
-                                              : nullptr,
+                  pending.request.window, arena_, handle.value().plans(),
                   deadline));
             } else {
               // Count the failed request so serve.requests_total covers

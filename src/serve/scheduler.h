@@ -18,9 +18,13 @@
 // individual inside one batch coalesce on the store's single-flight cold
 // load, so a burst for one tenant costs one disk read.
 //
-// The scheduler never self-dispatches: the owner (a server loop, the
-// InferenceEngine facade, a test) calls Pump() on its own cadence, or
-// Flush() to drain everything regardless of age.
+// The scheduler never self-dispatches: the owner (a server loop, a bench
+// replay, a test) calls Pump() on its own cadence, or Flush() to drain
+// everything regardless of age.
+//
+// Every request executes through its model's compiled-plan cache
+// (ModelHandle::plans()); the cache itself falls back to the module path
+// when a plan cannot compile or fails at execution.
 //
 // Deadlines: a request may carry `deadline_ticks` (relative to its
 // arrival tick; 0 = none). Pump sheds already-expired requests at
@@ -56,17 +60,14 @@ namespace emaf::serve {
 
 struct SchedulerOptions {
   // Admission bound: Submit rejects with kUnavailable once this many
-  // requests are pending. <= 0 means unbounded (no backpressure) — used
-  // by the engine facade, whose callers hand it complete batches.
+  // requests are pending. <= 0 means unbounded (no backpressure), for
+  // callers that hand it complete batches.
   int64_t max_queue = 256;
   // A batch closes as soon as it holds this many requests. Clamped >= 1.
   int64_t max_batch = 8;
   // A non-full batch closes once its oldest request is this many virtual
   // ticks old. 0 = every Pump() drains whatever is pending.
   uint64_t max_delay_ticks = 1;
-  // Execute through each model's compiled-plan cache (bitwise-identical
-  // bytes, module fallback). Mirrors EngineOptions.use_compiled_plans.
-  bool use_compiled_plans = true;
 };
 
 // Completion slot for one submitted request. Tickets are cheap to copy;

@@ -17,7 +17,7 @@
 //     specified as uninitialized; Tensor::Zeros explicitly clears its
 //     buffer when an arena is active (tensor.cc), so no caller observes
 //     the difference.
-//   - The arena may be shared by several threads (the serving engine
+//   - The arena may be shared by several threads (the server
 //     shares one across its worker pool); Acquire and the deleter take a
 //     short mutex. Arena use never changes numerics — it only changes
 //     where a buffer's bytes live.

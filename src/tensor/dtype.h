@@ -17,7 +17,7 @@ namespace emaf::tensor {
 
 enum class DType : uint8_t {
   kF64 = 0,  // double — training and the pinned default inference path
-  kF32 = 1,  // float — opt-in inference path (EngineOptions::inference_dtype)
+  kF32 = 1,  // float — opt-in inference path (ModelStoreOptions::load_dtype)
 };
 
 inline constexpr int64_t DTypeSize(DType dtype) {

@@ -8,9 +8,9 @@
 //   3. plan-vs-module, within dtype — a compiled f32 plan reproduces the
 //      f32 module forward bitwise at 1/2/8 pool threads and on either
 //      dispatch arm, and an f32 plan rejects f64 input;
-//   4. engine — inference_dtype=kF32 halves resident bytes, keeps the
-//      wire f64, and serves forecasts within float rounding of the f64
-//      engine.
+//   4. serving — a ModelStore with load_dtype=kF32 halves resident bytes,
+//      keeps the wire f64, and serves forecasts within float rounding of
+//      the f64 store.
 
 #include <unistd.h>
 
@@ -30,7 +30,8 @@
 #include "models/registry.h"
 #include "plan/interpreter.h"
 #include "plan/recorder.h"
-#include "serve/inference_engine.h"
+#include "serve/model_store.h"
+#include "serve_test_util.h"
 #include "tensor/autograd.h"
 #include "tensor/dtype.h"
 #include "tensor/ops.h"
@@ -40,6 +41,7 @@
 namespace emaf {
 namespace {
 
+using serve::testutil::Serve;
 using tensor::DType;
 using tensor::Shape;
 using tensor::Tensor;
@@ -255,7 +257,7 @@ class DtypeFamilyTest : public ::testing::TestWithParam<std::string> {};
 // Casting a model to f32 perturbs its forecast by float rounding only:
 // bounded relative to the f64 output scale, far beyond any training-level
 // signal but far from garbage. This is the accuracy contract
-// EngineOptions::inference_dtype documents.
+// ModelStoreOptions::load_dtype documents.
 TEST_P(DtypeFamilyTest, F32ForecastWithinFloatRoundingOfF64) {
   models::ModelConfig config = FamilyConfig(GetParam());
   Rng rng(21);
@@ -364,14 +366,23 @@ INSTANTIATE_TEST_SUITE_P(AllFamilies, DtypeFamilyTest,
                            return info.param;
                          });
 
-// --- Engine-level f32 serving -----------------------------------------------
+// --- Store-level f32 serving ------------------------------------------------
 
-class DtypeEngineTest : public ::testing::Test {
+// Opens `dir` with residents cast to `dtype`.
+serve::ModelStore OpenStoreOrDie(const std::string& dir, DType dtype) {
+  serve::ModelStoreOptions options;
+  options.load_dtype = dtype;
+  Result<serve::ModelStore> store = serve::ModelStore::Open(dir, options);
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  return std::move(store).value();
+}
+
+class DtypeStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
     // Pid-unique: dtype_test and dtype_test_nosimd run this fixture
     // concurrently under `ctest -j` and must not share the directory.
-    dir_ = std::string(::testing::TempDir()) + "/dtype_engine_snapshots_" +
+    dir_ = std::string(::testing::TempDir()) + "/dtype_store_snapshots_" +
            std::to_string(::getpid());
     std::filesystem::remove_all(dir_);
     ASSERT_TRUE(std::filesystem::create_directories(dir_));
@@ -390,31 +401,17 @@ class DtypeEngineTest : public ::testing::Test {
   std::string dir_;
 };
 
-TEST_F(DtypeEngineTest, F32EngineHalvesResidentBytesAndKeepsWireF64) {
-  serve::EngineOptions f64_options;
-  Result<serve::InferenceEngine> f64_engine =
-      serve::InferenceEngine::Load(dir_, f64_options);
-  ASSERT_TRUE(f64_engine.ok()) << f64_engine.status().ToString();
-
-  serve::EngineOptions f32_options;
-  f32_options.inference_dtype = DType::kF32;
-  Result<serve::InferenceEngine> f32_engine =
-      serve::InferenceEngine::Load(dir_, f32_options);
-  ASSERT_TRUE(f32_engine.ok()) << f32_engine.status().ToString();
-
-  // Residency accounting reflects the real in-memory element width: the
-  // f32 store holds exactly half the parameter bytes of the f64 store.
-  int64_t f64_bytes = f64_engine.value().store().stats().resident_bytes;
-  int64_t f32_bytes = f32_engine.value().store().stats().resident_bytes;
-  ASSERT_GT(f64_bytes, 0);
-  EXPECT_EQ(f32_bytes * 2, f64_bytes);
+TEST_F(DtypeStoreTest, F32StoreHalvesResidentBytesAndKeepsWireF64) {
+  serve::ModelStore f64_store = OpenStoreOrDie(dir_, DType::kF64);
+  serve::ModelStore f32_store = OpenStoreOrDie(dir_, DType::kF32);
+  tensor::InferenceArena arena;
 
   Rng data_rng(55);
   Tensor window = Tensor::Uniform(Shape{1, kSteps, kVars}, -1, 1, &data_rng);
-  for (const std::string& id : f64_engine.value().individual_ids()) {
-    Result<Tensor> ref = f64_engine.value().Forecast(id, window);
+  for (const std::string& id : f64_store.individual_ids()) {
+    Result<Tensor> ref = Serve(&f64_store, &arena, id, window);
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-    Result<Tensor> got = f32_engine.value().Forecast(id, window);
+    Result<Tensor> got = Serve(&f32_store, &arena, id, window);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     // The wire dtype never changes: f64 in, f64 out, whatever the
     // resident dtype.
@@ -426,23 +423,30 @@ TEST_F(DtypeEngineTest, F32EngineHalvesResidentBytesAndKeepsWireF64) {
       EXPECT_NEAR(r[i], g[i], 1e-3 * (1.0 + std::abs(r[i]))) << id;
     }
   }
+
+  // Residency accounting reflects the real in-memory element width: with
+  // every model resident, the f32 store holds exactly half the parameter
+  // bytes of the f64 store.
+  int64_t f64_bytes = f64_store.stats().resident_bytes;
+  int64_t f32_bytes = f32_store.stats().resident_bytes;
+  ASSERT_GT(f64_bytes, 0);
+  EXPECT_EQ(f64_store.stats().resident_models, 2);
+  EXPECT_EQ(f32_store.stats().resident_models, 2);
+  EXPECT_EQ(f32_bytes * 2, f64_bytes);
 }
 
 // Repeated f32 forecasts for one id are bitwise identical — determinism
 // survives the boundary casts and the plan warm-up.
-TEST_F(DtypeEngineTest, F32ForecastsAreDeterministic) {
-  serve::EngineOptions options;
-  options.inference_dtype = DType::kF32;
-  Result<serve::InferenceEngine> engine =
-      serve::InferenceEngine::Load(dir_, options);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+TEST_F(DtypeStoreTest, F32ForecastsAreDeterministic) {
+  serve::ModelStore store = OpenStoreOrDie(dir_, DType::kF32);
+  tensor::InferenceArena arena;
 
   Rng data_rng(66);
   Tensor window = Tensor::Uniform(Shape{1, kSteps, kVars}, -1, 1, &data_rng);
-  Result<Tensor> first = engine.value().Forecast("i00", window);
+  Result<Tensor> first = Serve(&store, &arena, "i00", window);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   for (int round = 0; round < 3; ++round) {
-    Result<Tensor> again = engine.value().Forecast("i00", window);
+    Result<Tensor> again = Serve(&store, &arena, "i00", window);
     ASSERT_TRUE(again.ok()) << again.status().ToString();
     ExpectBitwiseEqual(first.value(), again.value(),
                        "round " + std::to_string(round));

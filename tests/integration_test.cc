@@ -10,7 +10,7 @@
 #include "graph/metrics.h"
 #include "nn/serialize.h"
 #include "models/mtgnn.h"
-#include "models/var_baseline.h"
+#include "models/var_forecaster.h"
 
 namespace emaf {
 namespace {
@@ -82,15 +82,16 @@ TEST(IntegrationTest, LearnedGraphPipelineExperimentC) {
   EXPECT_GT(learned.mean_static_correlation, 0.0);
 }
 
-TEST(IntegrationTest, VarBaselineRunsOnCohortData) {
+TEST(IntegrationTest, VarForecasterRunsOnCohortData) {
   core::ExperimentConfig config = SmallConfig();
   data::Cohort cohort = data::GenerateCohort(config.generator);
   const data::Individual& person = cohort.individuals[0];
   data::IndividualSplit split = data::MakeSplit(person, 2);
-  models::VarBaseline var(5.0);
+  models::VarConfig var_config;
+  var_config.ridge = 5.0;
+  models::VarForecaster var(person.num_variables(), 2, var_config);
   var.Fit(split.train.inputs, split.train.targets);
-  double mse =
-      core::MseBetween(var.Predict(split.test.inputs), split.test.targets);
+  double mse = core::EvaluateMse(&var, split.test);
   EXPECT_TRUE(std::isfinite(mse));
   EXPECT_GT(mse, 0.0);
 }

@@ -16,7 +16,6 @@
 #include "models/lstm_forecaster.h"
 #include "models/mtgnn.h"
 #include "models/registry.h"
-#include "models/var_baseline.h"
 #include "models/var_forecaster.h"
 #include "tensor/autograd.h"
 #include "tensor/ops.h"
@@ -151,25 +150,6 @@ TEST(RegistryEquivalenceTest, MtgnnMatchesInlineConstruction) {
 }
 
 // --- VAR adapter ----------------------------------------------------------
-
-TEST(VarForecasterTest, FitMatchesVarBaselinePredictions) {
-  Rng data_rng(51);
-  Tensor inputs = Tensor::Uniform(Shape{20, kSteps, kVars}, -1, 1, &data_rng);
-  Tensor targets = Tensor::Uniform(Shape{20, kVars}, -1, 1, &data_rng);
-
-  VarConfig config;
-  config.ridge = 0.5;
-  VarForecaster adapter(kVars, kSteps, config);
-  adapter.Fit(inputs, targets);
-
-  VarBaseline baseline(config.ridge);
-  baseline.Fit(inputs, targets);
-
-  Tensor window = Tensor::Uniform(Shape{6, kSteps, kVars}, -1, 1, &data_rng);
-  tensor::NoGradGuard guard;
-  EXPECT_EQ(adapter.Forward(window).ToVector(),
-            baseline.Predict(window).ToVector());
-}
 
 TEST(VarForecasterTest, FitPreservesParameterPointers) {
   VarForecaster model(kVars, kSteps, VarConfig{});

@@ -15,7 +15,7 @@
 
 #include "common/fault_injection.h"
 #include "common/metrics.h"
-#include "serve/inference_engine.h"
+#include "serve/model_store.h"
 #include "serve/scheduler.h"
 #include "serve_test_util.h"
 #include "tensor/tensor.h"
@@ -46,12 +46,15 @@ class PlanFaultTest : public ::testing::Test {
 };
 
 TEST_F(PlanFaultTest, ExecuteFaultFailsOneRequestThenFallsBackToModule) {
-  Result<InferenceEngine> engine = InferenceEngine::Load(dir_);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  Result<ModelStore> store = ModelStore::Open(dir_);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto forecast = [&](const std::string& id) {
+    return testutil::Serve(&store.value(), /*arena=*/nullptr, id, window_);
+  };
   ASSERT_TRUE(fault::Configure("plan.execute/alpha=1", 1).ok());
 
   // The faulted request fails with a structured error naming the site...
-  Result<Tensor> faulted = engine.value().Forecast("alpha", window_);
+  Result<Tensor> faulted = forecast("alpha");
   ASSERT_FALSE(faulted.ok());
   EXPECT_EQ(faulted.status().code(), StatusCode::kInternal);
   EXPECT_NE(faulted.status().message().find("plan.execute/alpha"),
@@ -59,21 +62,21 @@ TEST_F(PlanFaultTest, ExecuteFaultFailsOneRequestThenFallsBackToModule) {
       << faulted.status().ToString();
 
   // ...while an unrelated tenant is untouched...
-  Result<Tensor> other = engine.value().Forecast("beta", window_);
+  Result<Tensor> other = forecast("beta");
   ASSERT_TRUE(other.ok()) << other.status().ToString();
   EXPECT_EQ(other.value().ToVector(), expected_["beta"]);
 
   // ...and the affected tenant recovers immediately on the module
   // fallback, serving the exact expected bytes.
   ASSERT_TRUE(fault::Configure("", 0).ok());
-  Result<Tensor> recovered = engine.value().Forecast("alpha", window_);
+  Result<Tensor> recovered = forecast("alpha");
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered.value().ToVector(), expected_["alpha"]);
 
   // The fallback is sticky for this residency: with the fault cleared,
   // repeated requests keep serving correct bytes (module path, no plan
   // recompile churn).
-  Result<Tensor> again = engine.value().Forecast("alpha", window_);
+  Result<Tensor> again = forecast("alpha");
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.value().ToVector(), expected_["alpha"]);
 }

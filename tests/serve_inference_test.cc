@@ -1,9 +1,10 @@
-// End-to-end train -> snapshot -> serve tests (ISSUE acceptance): for every
-// model family in the paper's Table 2, an InferenceEngine loaded from a
-// snapshot directory reproduces core::Predict's test-set predictions
-// byte-for-byte at any thread count, serves steady-state requests without
-// heap allocation or tape construction, and exposes metrics and fault
-// sites for the observability harness.
+// End-to-end train -> snapshot -> serve tests: for every model family in
+// the paper's Table 2, a ModelStore opened on a snapshot directory and
+// served through ExecuteForecast (one request) or the RequestScheduler (a
+// batch) reproduces core::Predict's test-set predictions byte-for-byte at
+// any thread count, serves steady-state requests without heap allocation
+// or tape construction, and exposes metrics and fault sites for the
+// observability harness.
 
 #include <cstdint>
 #include <filesystem>
@@ -23,8 +24,10 @@
 #include "graph/adjacency.h"
 #include "models/registry.h"
 #include "models/var_forecaster.h"
-#include "serve/inference_engine.h"
+#include "serve/model_store.h"
+#include "serve/scheduler.h"
 #include "serve_test_util.h"
+#include "tensor/arena.h"
 #include "tensor/tensor.h"
 #include "ts/window.h"
 
@@ -33,6 +36,7 @@ namespace {
 
 using tensor::Shape;
 using tensor::Tensor;
+using testutil::Serve;
 
 constexpr int64_t kVars = 5;
 constexpr int64_t kSteps = 3;
@@ -68,6 +72,13 @@ const std::vector<std::string>& AllFamilies() {
   static const std::vector<std::string> families = {"LSTM", "VAR", "A3TGCN",
                                                     "ASTGCN", "MTGNN"};
   return families;
+}
+
+ModelStore OpenOrDie(const std::string& dir,
+                     const ModelStoreOptions& options = {}) {
+  Result<ModelStore> store = ModelStore::Open(dir, options);
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  return std::move(store).value();
 }
 
 // Trains all five families once, snapshots them into one directory, and
@@ -120,12 +131,6 @@ class ServeTest : public ::testing::Test {
     dir_ = nullptr;
   }
 
-  static InferenceEngine LoadEngineOrDie() {
-    Result<InferenceEngine> engine = InferenceEngine::Load(*dir_);
-    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
-    return std::move(engine).value();
-  }
-
   static std::string* dir_;
   static Tensor* test_inputs_;
   static std::map<std::string, std::vector<double>>* expected_;
@@ -135,25 +140,26 @@ std::string* ServeTest::dir_ = nullptr;
 Tensor* ServeTest::test_inputs_ = nullptr;
 std::map<std::string, std::vector<double>>* ServeTest::expected_ = nullptr;
 
-TEST_F(ServeTest, LoadsAllSnapshotsSortedAndInEvalMode) {
-  InferenceEngine engine = LoadEngineOrDie();
-  EXPECT_EQ(engine.num_models(), 5);
+TEST_F(ServeTest, ListsSnapshotsSortedAndGetReturnsEvalModeModels) {
+  ModelStore store = OpenOrDie(*dir_);
+  EXPECT_EQ(store.num_known_models(), 5);
   // Ids are snapshot filename stems, sorted.
-  EXPECT_EQ(engine.individual_ids(),
+  EXPECT_EQ(store.individual_ids(),
             (std::vector<std::string>{"A3TGCN", "ASTGCN", "LSTM", "MTGNN",
                                       "VAR"}));
   for (const std::string& family : AllFamilies()) {
-    ASSERT_NE(engine.model(family), nullptr) << family;
+    Result<ModelHandle> handle = store.Get(family);
+    ASSERT_TRUE(handle.ok()) << family << ": " << handle.status().ToString();
     // Eval mode is set once at load; the request path never writes it.
-    EXPECT_FALSE(engine.model(family)->training()) << family;
+    EXPECT_FALSE(handle.value()->training()) << family;
   }
-  EXPECT_EQ(engine.model("nobody"), nullptr);
 }
 
 TEST_F(ServeTest, ForecastMatchesEvaluatorBytesForEveryFamily) {
-  InferenceEngine engine = LoadEngineOrDie();
+  ModelStore store = OpenOrDie(*dir_);
+  tensor::InferenceArena arena;
   for (const std::string& family : AllFamilies()) {
-    Result<Tensor> prediction = engine.Forecast(family, *test_inputs_);
+    Result<Tensor> prediction = Serve(&store, &arena, family, *test_inputs_);
     ASSERT_TRUE(prediction.ok()) << family << ": "
                                  << prediction.status().ToString();
     // Byte-for-byte: the snapshot round-trip (weights as raw doubles,
@@ -163,7 +169,15 @@ TEST_F(ServeTest, ForecastMatchesEvaluatorBytesForEveryFamily) {
 }
 
 TEST_F(ServeTest, BatchIsByteIdenticalAtOneTwoAndEightThreads) {
-  InferenceEngine engine = LoadEngineOrDie();
+  ModelStore store = OpenOrDie(*dir_);
+  tensor::InferenceArena arena;
+  ManualClock clock;
+  // One micro-batch per Flush: the whole request vector fans out at once.
+  SchedulerOptions options;
+  options.max_queue = 0;
+  options.max_batch = int64_t{1} << 30;
+  options.max_delay_ticks = 0;
+  RequestScheduler scheduler(&store, &arena, options, &clock);
   // Two requests per family so threads genuinely contend on shared models.
   std::vector<ForecastRequest> requests;
   for (const std::string& family : AllFamilies()) {
@@ -172,11 +186,17 @@ TEST_F(ServeTest, BatchIsByteIdenticalAtOneTwoAndEightThreads) {
   }
   for (int64_t threads : {1, 2, 8}) {
     common::ThreadPool::SetGlobalNumThreads(threads);
-    std::vector<Result<Tensor>> results = engine.ForecastBatch(requests);
-    ASSERT_EQ(results.size(), requests.size());
-    for (size_t i = 0; i < results.size(); ++i) {
-      ASSERT_TRUE(results[i].ok()) << "threads=" << threads << " request " << i;
-      EXPECT_EQ(results[i].value().ToVector(),
+    std::vector<RequestTicket> tickets;
+    for (const ForecastRequest& request : requests) {
+      Result<RequestTicket> ticket = scheduler.Submit(request);
+      ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+      tickets.push_back(ticket.value());
+    }
+    EXPECT_EQ(scheduler.Flush(), static_cast<int64_t>(requests.size()));
+    for (size_t i = 0; i < tickets.size(); ++i) {
+      const Result<Tensor>& result = tickets[i].result();
+      ASSERT_TRUE(result.ok()) << "threads=" << threads << " request " << i;
+      EXPECT_EQ(result.value().ToVector(),
                 expected_->at(requests[i].individual_id))
           << "threads=" << threads << " request " << i;
     }
@@ -186,20 +206,21 @@ TEST_F(ServeTest, BatchIsByteIdenticalAtOneTwoAndEightThreads) {
 }
 
 TEST_F(ServeTest, SteadyStateRequestsAreHeapAndTapeFree) {
-  InferenceEngine engine = LoadEngineOrDie();
+  ModelStore store = OpenOrDie(*dir_);
+  tensor::InferenceArena arena;
   for (const std::string& family : AllFamilies()) {
-    ASSERT_TRUE(engine.Forecast(family, *test_inputs_).ok());  // warm-up
+    ASSERT_TRUE(Serve(&store, &arena, family, *test_inputs_).ok());  // warm
   }
-  tensor::InferenceArena::Stats warm = engine.arena_stats();
+  tensor::InferenceArena::Stats warm = arena.stats();
   obs::Registry& registry = obs::Registry::Global();
   uint64_t storage_allocs_before =
       registry.GetCounter("tensor.storage_allocs")->value();
   uint64_t gradfn_allocs_before =
       registry.GetCounter("tensor.gradfn_allocs")->value();
   for (const std::string& family : AllFamilies()) {
-    ASSERT_TRUE(engine.Forecast(family, *test_inputs_).ok());
+    ASSERT_TRUE(Serve(&store, &arena, family, *test_inputs_).ok());
   }
-  tensor::InferenceArena::Stats steady = engine.arena_stats();
+  tensor::InferenceArena::Stats steady = arena.stats();
   // Warm pool: the second pass recycles every buffer (no new misses) and
   // allocates nothing on the heap; NoGradGuard keeps the tape empty.
   EXPECT_EQ(steady.misses, warm.misses);
@@ -210,20 +231,17 @@ TEST_F(ServeTest, SteadyStateRequestsAreHeapAndTapeFree) {
             gradfn_allocs_before);
 }
 
-TEST_F(ServeTest, RequestAndLoadMetricsAreRecorded) {
+TEST_F(ServeTest, RequestMetricsAreRecorded) {
   obs::Registry& registry = obs::Registry::Global();
   uint64_t requests_before =
       registry.GetCounter("serve.requests_total")->value();
-  InferenceEngine engine = LoadEngineOrDie();
-  ASSERT_TRUE(engine.Forecast("LSTM", *test_inputs_).ok());
-  ASSERT_TRUE(engine.Forecast("VAR", *test_inputs_).ok());
+  ModelStore store = OpenOrDie(*dir_);
+  tensor::InferenceArena arena;
+  ASSERT_TRUE(Serve(&store, &arena, "LSTM", *test_inputs_).ok());
+  ASSERT_TRUE(Serve(&store, &arena, "VAR", *test_inputs_).ok());
   if (obs::kMetricsEnabled) {
     EXPECT_EQ(registry.GetCounter("serve.requests_total")->value(),
               requests_before + 2);
-    EXPECT_EQ(registry.GetGauge("serve.loaded_models")->value(), 5.0);
-    double hit_rate = registry.GetGauge("serve.arena_hit_rate")->value();
-    EXPECT_GE(hit_rate, 0.0);
-    EXPECT_LE(hit_rate, 1.0);
     EXPECT_GE(registry
                   .GetHistogram("serve.request_seconds",
                                 obs::DefaultSecondsBounds())
@@ -232,15 +250,15 @@ TEST_F(ServeTest, RequestAndLoadMetricsAreRecorded) {
   }
 }
 
-// The ISSUE acceptance anchor for budgeted serving: a 2-of-5 residency
-// budget forces continual eviction and reload across a request sweep, yet
-// every family's bytes match the unconstrained (PR-4 eager) engine — i.e.
-// core::Predict's ground truth — at 1, 2 and 8 threads. The sweep runs
-// once per execution mode (compiled plans on / off); both modes must
-// serve the same ground-truth bytes, and with plans on the continual
-// eviction means every reload compiles against a fresh cache — a stale
-// plan surviving eviction would diverge from the reloaded weights here.
-TEST_F(ServeTest, ConstrainedBudgetSweepIsByteIdenticalToEagerEngine) {
+// The anchor for budgeted serving: a 2-of-5 residency budget forces
+// continual eviction and reload across a request sweep, yet every
+// family's bytes match core::Predict's ground truth at 1, 2 and 8
+// threads. The sweep runs once per execution path (compiled plans, then
+// the module path); both must serve the same bytes, and with plans the
+// continual eviction means every reload compiles against a fresh cache —
+// a stale plan surviving eviction would diverge from the reloaded weights
+// here.
+TEST_F(ServeTest, ConstrainedBudgetSweepIsByteIdenticalToGroundTruth) {
   obs::Registry& registry = obs::Registry::Global();
   for (bool use_plans : {true, false}) {
     uint64_t evictions_before =
@@ -251,26 +269,25 @@ TEST_F(ServeTest, ConstrainedBudgetSweepIsByteIdenticalToEagerEngine) {
         obs::kMetricsEnabled
             ? registry.GetCounter("serve.plan_cache_misses")->value()
             : 0;
-    EngineOptions options;
+    ModelStoreOptions options;
     options.max_resident_models = 2;
-    options.use_compiled_plans = use_plans;
-    Result<InferenceEngine> engine = InferenceEngine::Load(*dir_, options);
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    // Budgeted mode lists without loading.
-    EXPECT_EQ(engine.value().num_models(), 5);
-    EXPECT_EQ(engine.value().store().stats().cold_loads, 0u);
+    ModelStore store = OpenOrDie(*dir_, options);
+    tensor::InferenceArena arena;
+    // Open lists without loading.
+    EXPECT_EQ(store.num_known_models(), 5);
+    EXPECT_EQ(store.stats().cold_loads, 0u);
 
     for (int64_t threads : {1, 2, 8}) {
       common::ThreadPool::SetGlobalNumThreads(threads);
       for (int round = 0; round < 2; ++round) {
         for (const std::string& family : AllFamilies()) {
           Result<Tensor> prediction =
-              engine.value().Forecast(family, *test_inputs_);
+              Serve(&store, &arena, family, *test_inputs_, use_plans);
           ASSERT_TRUE(prediction.ok())
               << family << " plans=" << use_plans << " threads=" << threads
               << ": " << prediction.status().ToString();
           // An evicted-and-reloaded model must serve the same bytes as one
-          // that was never evicted — in either execution mode.
+          // that was never evicted — on either execution path.
           EXPECT_EQ(prediction.value().ToVector(), expected_->at(family))
               << family << " plans=" << use_plans << " threads=" << threads;
         }
@@ -278,7 +295,7 @@ TEST_F(ServeTest, ConstrainedBudgetSweepIsByteIdenticalToEagerEngine) {
     }
     common::ThreadPool::SetGlobalNumThreads(1);
 
-    ModelStore::Stats stats = engine.value().store().stats();
+    ModelStore::Stats stats = store.stats();
     EXPECT_LE(stats.resident_models, 2);
     // 5 tenants cycling through 2 slots: the budget provably bound.
     EXPECT_GT(stats.evictions, 0u);
@@ -316,14 +333,14 @@ TEST(ServePlanLifecycle, EvictionDropsCachedPlanAndReloadServesNewWeights) {
           ? registry.GetCounter("serve.plan_cache_hits")->value()
           : 0;
 
-  EngineOptions options;
+  ModelStoreOptions options;
   options.max_resident_models = 1;
-  Result<InferenceEngine> engine = InferenceEngine::Load(dir, options);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ModelStore store = OpenOrDie(dir, options);
+  tensor::InferenceArena arena;
 
   // Two requests within one residency: the second reuses the cached plan.
   for (int i = 0; i < 2; ++i) {
-    Result<Tensor> served = engine.value().Forecast("alpha", window);
+    Result<Tensor> served = Serve(&store, &arena, "alpha", window);
     ASSERT_TRUE(served.ok()) << served.status().ToString();
     EXPECT_EQ(served.value().ToVector(), old_expected.at("alpha"));
   }
@@ -345,56 +362,23 @@ TEST(ServePlanLifecycle, EvictionDropsCachedPlanAndReloadServesNewWeights) {
                   .ok());
 
   // Evict: the residency ends and the plan cache must die with it.
-  EXPECT_GE(engine.value().store().EvictIdle(-1), 1);
-  Result<Tensor> reloaded = engine.value().Forecast("alpha", window);
+  EXPECT_GE(store.EvictIdle(-1), 1);
+  Result<Tensor> reloaded = Serve(&store, &arena, "alpha", window);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_EQ(reloaded.value().ToVector(), new_expected)
       << "stale plan served the pre-reload weights";
   std::filesystem::remove_all(dir);
 }
 
-TEST_F(ServeTest, BudgetedModeHasNoStableModelPointers) {
-  EngineOptions options;
-  options.max_resident_models = 2;
-  Result<InferenceEngine> engine = InferenceEngine::Load(*dir_, options);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  ASSERT_TRUE(engine.value().Forecast("LSTM", *test_inputs_).ok());
-  // Residency is transient under a budget, so the engine refuses to hand
-  // out raw pointers that an eviction could invalidate.
-  EXPECT_EQ(engine.value().model("LSTM"), nullptr);
-}
-
-TEST_F(ServeTest, UnknownIndividualIsNotFound) {
-  InferenceEngine engine = LoadEngineOrDie();
-  Result<Tensor> result = engine.Forecast("stranger", *test_inputs_);
-  EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
-}
-
-TEST_F(ServeTest, MissingAndEmptyDirectoriesAreNotFound) {
-  EXPECT_EQ(InferenceEngine::Load("/nonexistent/snapshots").status().code(),
-            StatusCode::kNotFound);
-  std::string empty_dir = ::testing::TempDir() + "/serve_empty";
-  std::filesystem::create_directories(empty_dir);
-  EXPECT_EQ(InferenceEngine::Load(empty_dir).status().code(),
-            StatusCode::kNotFound);
-}
-
-TEST_F(ServeTest, LoadFaultSiteFailsTheLoad) {
-  if (!fault::kFaultInjectionEnabled) GTEST_SKIP();
-  ASSERT_TRUE(fault::Configure("serve.store.load=1", 1).ok());
-  Result<InferenceEngine> engine = InferenceEngine::Load(*dir_);
-  EXPECT_EQ(engine.status().code(), StatusCode::kUnavailable);
-  ASSERT_TRUE(fault::Configure("", 0).ok());
-}
-
 TEST_F(ServeTest, RequestFaultSiteFailsOnlyTheTargetedIndividual) {
   if (!fault::kFaultInjectionEnabled) GTEST_SKIP();
-  InferenceEngine engine = LoadEngineOrDie();
+  ModelStore store = OpenOrDie(*dir_);
+  tensor::InferenceArena arena;
   ASSERT_TRUE(fault::Configure("serve.request/LSTM=1", 1).ok());
-  EXPECT_EQ(engine.Forecast("LSTM", *test_inputs_).status().code(),
+  EXPECT_EQ(Serve(&store, &arena, "LSTM", *test_inputs_).status().code(),
             StatusCode::kUnavailable);
   // The site is scoped per individual: other ids keep serving.
-  EXPECT_TRUE(engine.Forecast("VAR", *test_inputs_).ok());
+  EXPECT_TRUE(Serve(&store, &arena, "VAR", *test_inputs_).ok());
   ASSERT_TRUE(fault::Configure("", 0).ok());
 }
 

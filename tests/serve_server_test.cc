@@ -1,6 +1,7 @@
-// Loopback end-to-end tests for the epoll serving front-end (ISSUE PR-6):
-// bytes served over a real socket are bitwise identical to the in-process
-// InferenceEngine for every model family at 1, 2 and 8 pool threads; the
+// Loopback end-to-end tests for the epoll serving front-end: bytes served
+// over a real socket (compiled plans) are bitwise identical to the module
+// path — core::Predict on the reloaded snapshot — for every model family
+// at 1, 2 and 8 pool threads; the
 // server survives a pathological 1-byte-at-a-time writer, answers
 // pipelined requests matched by request id, forgets mid-request
 // disconnects without leaking a store pin, and sheds overload with a
@@ -27,7 +28,6 @@
 #include "models/registry.h"
 #include "online/observation_log.h"
 #include "serve/client.h"
-#include "serve/inference_engine.h"
 #include "serve/server.h"
 #include "serve_test_util.h"
 #include "tensor/tensor.h"
@@ -88,8 +88,10 @@ bool WaitFor(const std::function<bool()>& predicate,
 // One snapshot directory for the whole suite: the five paper families
 // (untrained — deterministic construction; byte-identity assertions don't
 // care about fit quality) plus a few extra LSTM tenants t0..t3 for the
-// multi-tenant cases. Ground truth comes from the in-process
-// InferenceEngine on the same directory: the wire must not change a byte.
+// multi-tenant cases. Ground truth is the module path on the snapshot
+// file: LoadForecasterSnapshot + core::Predict. The server executes
+// compiled plans, so every byte check here is also the plan-vs-module
+// contract at the outermost layer of the stack.
 class ServerTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -119,13 +121,14 @@ class ServerTest : public ::testing::Test {
         Tensor::Uniform(Shape{1, kSteps, kVars}, -1, 1, &window_rng));
 
     expected_ = new std::map<std::string, std::vector<double>>();
-    Result<InferenceEngine> engine = InferenceEngine::Load(*dir_);
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     for (const std::string& id : ids) {
-      Result<Tensor> forecast = engine.value().Forecast(id, *window_);
-      ASSERT_TRUE(forecast.ok()) << id << ": "
-                                 << forecast.status().ToString();
-      (*expected_)[id] = forecast.value().ToVector();
+      Rng rng(0);
+      Result<std::unique_ptr<models::Forecaster>> loaded =
+          models::LoadForecasterSnapshot(*dir_ + "/" + id + ".snapshot",
+                                         &rng);
+      ASSERT_TRUE(loaded.ok()) << id << ": " << loaded.status().ToString();
+      (*expected_)[id] =
+          core::Predict(loaded.value().get(), *window_).ToVector();
     }
   }
 
@@ -168,11 +171,11 @@ TEST_F(ServerTest, PingPong) {
   EXPECT_TRUE(client.Ping().ok());  // the connection is reusable
 }
 
-// The ISSUE acceptance anchor: for every family, the bytes coming back
-// over the socket equal the in-process engine's bytes exactly — at 1, 2
-// and 8 pool threads. The pool size is set before each server starts so
+// The acceptance anchor: for every family, the bytes coming back over the
+// socket equal the module path's bytes exactly — at 1, 2 and 8 pool
+// threads. The pool size is set before each server starts so
 // the resize never races the live event loop.
-TEST_F(ServerTest, ServedBytesMatchEngineForEveryFamilyAtAnyThreadCount) {
+TEST_F(ServerTest, ServedBytesMatchModulePathForEveryFamilyAtAnyThreadCount) {
   for (int64_t threads : {1, 2, 8}) {
     common::ThreadPool::SetGlobalNumThreads(threads);
     Server server = StartServerOrDie();
@@ -188,24 +191,6 @@ TEST_F(ServerTest, ServedBytesMatchEngineForEveryFamilyAtAnyThreadCount) {
   }
   common::ThreadPool::SetGlobalNumThreads(
       static_cast<int64_t>(std::thread::hardware_concurrency()));
-}
-
-// Compiled plans are on by default, so the fixture's ground truth (and
-// every other test here) already exercises the plan path over the wire.
-// This test flips the execution mode off: the module path must serve the
-// very same bytes over loopback — the plans-on/plans-off bitwise contract
-// at the outermost layer of the stack.
-TEST_F(ServerTest, DisablingCompiledPlansServesIdenticalBytesOverLoopback) {
-  ServerOptions options;
-  options.scheduler.use_compiled_plans = false;
-  Server server = StartServerOrDie(options);
-  Client client = ConnectOrDie(server);
-  for (const std::string& family : AllFamilies()) {
-    Result<Tensor> forecast = client.Forecast(family, *window_);
-    ASSERT_TRUE(forecast.ok()) << family << ": "
-                               << forecast.status().ToString();
-    EXPECT_EQ(forecast.value().ToVector(), expected_->at(family)) << family;
-  }
 }
 
 // No stale-plan reuse across a snapshot reload, over the wire: after the
@@ -691,7 +676,7 @@ TEST_F(ServerTest, HealthProbeCarriesThePublishedVersionWatermark) {
 // Deadline propagation end to end: the deadline travels in the frame
 // header, the scheduler sheds the expired request, and the client reads a
 // structured kDeadlineExceeded reply — while a request with a generous
-// deadline is served the exact engine bytes.
+// deadline is served the exact module-path bytes.
 TEST_F(ServerTest, TinyDeadlineIsShedOverTheWireGenerousDeadlineIsServed) {
   // Age-close is pushed out of reach, so a single pending request can only
   // terminate by expiring: a 1-tick deadline against a clock that advances
@@ -709,7 +694,7 @@ TEST_F(ServerTest, TinyDeadlineIsShedOverTheWireGenerousDeadlineIsServed) {
   EXPECT_EQ(server.scheduler_stats().executed, 0u);
 
   // A normally-batching server and a deadline that cannot plausibly
-  // expire: served, and bitwise what the in-process engine computes.
+  // expire: served, and bitwise what the module path computes.
   Server normal = StartServerOrDie();
   Client normal_client = ConnectOrDie(normal);
   Result<Tensor> served = normal_client.Forecast(

@@ -1,8 +1,8 @@
-// Shared fixture helpers for the serving-layer suites (store, scheduler):
-// build a directory of tiny *untrained* LSTM snapshots — construction is
+// Shared fixture helpers for the serving-layer suites: build a directory
+// of tiny *untrained* LSTM snapshots — construction is
 // deterministic per id, and byte-identity assertions don't care about fit
 // quality — plus the ground-truth predictions a correctly served model
-// must reproduce byte for byte.
+// must reproduce byte for byte, and serve one request in process.
 
 #ifndef EMAF_TESTS_SERVE_TEST_UTIL_H_
 #define EMAF_TESTS_SERVE_TEST_UTIL_H_
@@ -19,6 +19,9 @@
 #include "common/rng.h"
 #include "core/evaluator.h"
 #include "models/registry.h"
+#include "serve/forecast_op.h"
+#include "serve/model_store.h"
+#include "tensor/arena.h"
 #include "tensor/tensor.h"
 
 namespace emaf::serve::testutil {
@@ -63,6 +66,20 @@ inline std::map<std::string, std::vector<double>> MakeTinySnapshotDir(
     EXPECT_TRUE(saved.ok()) << saved.ToString();
   }
   return expected;
+}
+
+// One in-process request the way the server's scheduler runs it: pin the
+// model, then execute it through its compiled-plan cache or, with
+// `use_plans` off, the module path. `arena` may be null.
+inline Result<tensor::Tensor> Serve(ModelStore* store,
+                                    tensor::InferenceArena* arena,
+                                    const std::string& id,
+                                    const tensor::Tensor& window,
+                                    bool use_plans = true) {
+  Result<ModelHandle> handle = store->Get(id);
+  if (!handle.ok()) return handle.status();
+  return ExecuteForecast(handle.value().get(), id, window, arena,
+                         use_plans ? handle.value().plans() : nullptr);
 }
 
 }  // namespace emaf::serve::testutil

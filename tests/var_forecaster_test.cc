@@ -1,8 +1,10 @@
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "core/evaluator.h"
-#include "models/var_baseline.h"
+#include "models/var_forecaster.h"
 #include "tensor/ops.h"
 
 namespace emaf::models {
@@ -46,7 +48,18 @@ TEST(SolveSpdDeathTest, NonPositiveDefinite) {
   EXPECT_DEATH(SolveSpd(a, b), "positive definite");
 }
 
-TEST(VarBaselineTest, RecoversExactLinearSystem) {
+// Fits a VAR on inputs [B, L, V] -> targets [B, V] with the given ridge.
+std::unique_ptr<VarForecaster> FitVar(const Tensor& inputs,
+                                      const Tensor& targets, double ridge) {
+  VarConfig config;
+  config.ridge = ridge;
+  auto var = std::make_unique<VarForecaster>(inputs.dim(2), inputs.dim(1),
+                                             config);
+  var->Fit(inputs, targets);
+  return var;
+}
+
+TEST(VarForecasterTest, RecoversExactLinearSystem) {
   // Targets generated by a known linear map of the flattened window.
   Rng rng(2);
   int64_t batch = 40;
@@ -57,30 +70,28 @@ TEST(VarBaselineTest, RecoversExactLinearSystem) {
   Tensor flat = tensor::Reshape(inputs, Shape{batch, steps * vars});
   Tensor targets = tensor::AddScalar(tensor::MatMul(flat, coeff), 0.5);
 
-  VarBaseline var(1e-8);  // nearly unregularized
-  var.Fit(inputs, targets);
-  Tensor pred = var.Predict(inputs);
+  // Nearly unregularized.
+  std::unique_ptr<VarForecaster> var = FitVar(inputs, targets, 1e-8);
+  Tensor pred = core::Predict(var.get(), inputs);
   EXPECT_LT(core::MseBetween(pred, targets), 1e-10);
 }
 
-TEST(VarBaselineTest, InterceptOnlyForConstantTargets) {
+TEST(VarForecasterTest, InterceptOnlyForConstantTargets) {
   Rng rng(3);
   Tensor inputs = Tensor::Uniform(Shape{30, 1, 2}, -1, 1, &rng);
   Tensor targets = Tensor::Full(Shape{30, 2}, 3.0);
-  VarBaseline var(10.0);  // heavy ridge still fits via the free intercept
-  var.Fit(inputs, targets);
-  Tensor pred = var.Predict(inputs);
+  // Heavy ridge still fits via the free intercept.
+  std::unique_ptr<VarForecaster> var = FitVar(inputs, targets, 10.0);
+  Tensor pred = core::Predict(var.get(), inputs);
   EXPECT_LT(core::MseBetween(pred, targets), 1e-4);
 }
 
-TEST(VarBaselineTest, RidgeShrinksCoefficients) {
+TEST(VarForecasterTest, RidgeShrinksCoefficients) {
   Rng rng(4);
   Tensor inputs = Tensor::Uniform(Shape{20, 1, 3}, -1, 1, &rng);
   Tensor targets = Tensor::Uniform(Shape{20, 3}, -1, 1, &rng);
-  VarBaseline weak(1e-6);
-  VarBaseline strong(1000.0);
-  weak.Fit(inputs, targets);
-  strong.Fit(inputs, targets);
+  std::unique_ptr<VarForecaster> weak = FitVar(inputs, targets, 1e-6);
+  std::unique_ptr<VarForecaster> strong = FitVar(inputs, targets, 1000.0);
   auto norm = [](const Tensor& t) {
     // Exclude the intercept row.
     double total = 0.0;
@@ -91,23 +102,17 @@ TEST(VarBaselineTest, RidgeShrinksCoefficients) {
     }
     return total;
   };
-  EXPECT_LT(norm(strong.coefficients()), 0.1 * norm(weak.coefficients()));
+  EXPECT_LT(norm(strong->coefficients()), 0.1 * norm(weak->coefficients()));
 }
 
-TEST(VarBaselineTest, PredictBeforeFitDies) {
-  VarBaseline var(1.0);
-  EXPECT_FALSE(var.fitted());
-  EXPECT_DEATH(var.Predict(tensor::Tensor::Zeros(Shape{2, 1, 3})), "Fit");
-}
-
-TEST(VarBaselineTest, PredictValidatesShape) {
+TEST(VarForecasterTest, FitAndForecastValidateShape) {
   Rng rng(5);
   Tensor inputs = Tensor::Uniform(Shape{10, 2, 3}, -1, 1, &rng);
   Tensor targets = Tensor::Uniform(Shape{10, 3}, -1, 1, &rng);
-  VarBaseline var(1.0);
-  var.Fit(inputs, targets);
-  EXPECT_DEATH(var.Predict(Tensor::Zeros(Shape{5, 3, 3})), "");
-  EXPECT_DEATH(var.Predict(Tensor::Zeros(Shape{5, 2, 4})), "");
+  std::unique_ptr<VarForecaster> var = FitVar(inputs, targets, 1.0);
+  EXPECT_DEATH(core::Predict(var.get(), Tensor::Zeros(Shape{5, 3, 3})), "");
+  EXPECT_DEATH(core::Predict(var.get(), Tensor::Zeros(Shape{5, 2, 4})), "");
+  EXPECT_DEATH(var->Fit(inputs, Tensor::Zeros(Shape{10, 4})), "");
 }
 
 }  // namespace
