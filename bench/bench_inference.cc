@@ -20,14 +20,13 @@
 // (ModelHandle::plans()) instead of nullptr. The "arena" pass keeps
 // measuring the module path (tape-free core::Predict through the shared
 // arena); the "plan" pass replays the recorded op plan and also reports
-// how many interpreter instructions each request executed and how many
-// fused elementwise chains the five compiled plans contain.
+// how many interpreter instructions each request executed.
 //
 // Emits BENCH_inference.json (EMAF_BENCH_JSON_DIR, default cwd):
 //   {"bench": "inference", ..., "no_arena": {"p50_seconds", "p99_seconds",
 //    "allocs_per_request"}, "arena": {...}, "arena_hit_rate",
 //    "plan": {"p50_seconds", "p99_seconds", "allocs_per_request",
-//     "instructions_per_request", "fused_chains"},
+//     "instructions_per_request"},
 //    "store": {"models_on_disk", "max_resident", "requests",
 //     "cold": {"p50_seconds", "p99_seconds"}, "warm": {...},
 //     "hit_rate", "cold_loads", "evictions"},
@@ -41,7 +40,7 @@
 // across the five families, and the speedup field is f64-plan p50 over
 // f32-plan p50.
 // allocs_per_request comes from the tensor.storage_allocs counter and is
-// reported as -1 (like the plan instruction/fusion fields) when the build
+// reported as -1 (like the plan instruction field) when the build
 // has metrics compiled out.
 //
 //   EMAF_BENCH_INFER_REQUESTS  timed requests per pass (default 512)
@@ -315,10 +314,7 @@ void Run() {
 
   // Warm up every path once per model so lazy first-request work (cold
   // loads, arena cold misses, page faults in fresh weights, plan
-  // compilation) stays out of the timings. The fused-chain delta around
-  // the plan warm-up is the chain count across the five compiled plans.
-  uint64_t chains_before =
-      obs::Registry::Global().GetCounter("plan.fused_chains")->value();
+  // compilation) stays out of the timings.
   std::map<std::string, serve::ModelHandle> residents;
   for (const std::string& id : ids) {
     Result<serve::ModelHandle> handle = f64_store.value().Get(id);
@@ -328,11 +324,6 @@ void Run() {
     forecast(paths[0], id);
     forecast(paths[1], id);
   }
-  // Counted before the f32 warm-ups so the field keeps meaning "chains in
-  // the five f64 plans" (the f32 plans fuse identically anyway).
-  uint64_t fused_chains =
-      obs::Registry::Global().GetCounter("plan.fused_chains")->value() -
-      chains_before;
   double max_abs_error = 0.0;
   for (const std::string& id : ids) {
     forecast(paths[2], id);
@@ -431,9 +422,7 @@ void Run() {
       ", \"plan\": {\"p50_seconds\": ", plan.p50_seconds,
       ", \"p99_seconds\": ", plan.p99_seconds,
       ", \"allocs_per_request\": ", plan.allocs_per_request,
-      ", \"instructions_per_request\": ", instructions_per_request,
-      ", \"fused_chains\": ",
-      obs::kMetricsEnabled ? static_cast<double>(fused_chains) : -1.0, "}",
+      ", \"instructions_per_request\": ", instructions_per_request, "}",
       ", \"store\": {\"models_on_disk\": ", store.models_on_disk,
       ", \"max_resident\": ", store.max_resident,
       ", \"requests\": ", store.requests,
@@ -467,8 +456,7 @@ void Run() {
             << "plan:     p50 " << plan.p50_seconds * 1e6 << "us, p99 "
             << plan.p99_seconds * 1e6 << "us, allocs/request "
             << plan.allocs_per_request << " ("
-            << instructions_per_request << " instructions/request, "
-            << fused_chains << " fused chains)\n"
+            << instructions_per_request << " instructions/request)\n"
             << "f32 mod:  p50 " << f32_module.p50_seconds * 1e6 << "us, p99 "
             << f32_module.p99_seconds * 1e6 << "us, allocs/request "
             << f32_module.allocs_per_request << "\n"

@@ -23,8 +23,9 @@
 //
 // Every reply is classified: ok (and, when under EMAF_BENCH_SLA_MS,
 // goodput), rejected (kUnavailable backpressure), deadline_missed
-// (kDeadlineExceeded sheds when EMAF_BENCH_DEADLINE_TICKS is set), or
-// errors. The sweep starts only after a health probe reports SERVING.
+// (kDeadlineExceeded sheds when EMAF_BENCH_DEADLINE_TICKS is set),
+// resource_exhausted (kResourceExhausted: the store's residency budget
+// could not make room), or errors. The sweep starts only after a health probe reports SERVING.
 //
 // `--smoke` shrinks everything (16 tenants / 4 snapshots / 100 requests /
 // one point), runs in well under a second, and then re-reads the emitted
@@ -174,8 +175,9 @@ struct PointResult {
   int64_t sent = 0;
   int64_t ok = 0;
   int64_t goodput = 0;  // ok replies answered within the SLA bound
-  int64_t rejected = 0;         // kUnavailable — admission backpressure
-  int64_t deadline_missed = 0;  // kDeadlineExceeded — shed past deadline
+  int64_t rejected = 0;            // kUnavailable — admission backpressure
+  int64_t deadline_missed = 0;     // kDeadlineExceeded — shed past deadline
+  int64_t resource_exhausted = 0;  // kResourceExhausted — budget pressure
   int64_t errors = 0;
   double rejection_rate = 0;
   double deadline_miss_rate = 0;
@@ -260,8 +262,8 @@ Result<PointResult> RunPoint(uint16_t port, const ServingScale& scale,
       if (ms <= scale.sla_ms) ++point.goodput;
       latencies_ms.push_back(ms);
     } else if (reply.value().type == serve::FrameType::kError) {
-      // Split backpressure from deadline shedding: the structured status
-      // travels in the payload.
+      // Split backpressure, deadline shedding and budget pressure: the
+      // structured status travels in the payload.
       Status carried = Status::Ok();
       Status parse =
           serve::DecodeStatusPayload(reply.value().payload, &carried);
@@ -270,6 +272,9 @@ Result<PointResult> RunPoint(uint16_t port, const ServingScale& scale,
       } else if (parse.ok() &&
                  carried.code() == StatusCode::kUnavailable) {
         ++point.rejected;
+      } else if (parse.ok() &&
+                 carried.code() == StatusCode::kResourceExhausted) {
+        ++point.resource_exhausted;
       } else {
         ++point.errors;
       }
@@ -328,6 +333,7 @@ std::string ToJson(const ServingScale& scale,
         << ", \"ok\": " << p.ok << ", \"goodput\": " << p.goodput
         << ", \"rejected\": " << p.rejected
         << ", \"deadline_missed\": " << p.deadline_missed
+        << ", \"resource_exhausted\": " << p.resource_exhausted
         << ", \"errors\": " << p.errors
         << ", \"rejection_rate\": " << p.rejection_rate
         << ", \"deadline_miss_rate\": " << p.deadline_miss_rate
@@ -358,9 +364,10 @@ bool ValidateSchema(const std::string& path) {
         "\"requests_per_point\"", "\"zipf_s\"", "\"deadline_ticks\"",
         "\"sla_ms\"", "\"points\"", "\"target_qps\"", "\"sent\"",
         "\"ok\"", "\"goodput\"", "\"rejected\"", "\"deadline_missed\"",
-        "\"errors\"", "\"rejection_rate\"", "\"deadline_miss_rate\"",
-        "\"p50_ms\"", "\"p99_ms\"", "\"p999_ms\"", "\"achieved_qps\"",
-        "\"goodput_qps\"", "\"wall_seconds\""}) {
+        "\"resource_exhausted\"", "\"errors\"", "\"rejection_rate\"",
+        "\"deadline_miss_rate\"", "\"p50_ms\"", "\"p99_ms\"",
+        "\"p999_ms\"", "\"achieved_qps\"", "\"goodput_qps\"",
+        "\"wall_seconds\""}) {
     if (json.find(key) == std::string::npos) {
       std::cerr << "[smoke] BENCH_serving.json is missing " << key << "\n";
       ok = false;
@@ -436,6 +443,7 @@ int Run(bool smoke) {
               << " ok=" << p.ok << " goodput=" << p.goodput
               << " rejected=" << p.rejected
               << " deadline_missed=" << p.deadline_missed
+              << " resource_exhausted=" << p.resource_exhausted
               << " errors=" << p.errors << " reject_rate="
               << p.rejection_rate << " miss_rate=" << p.deadline_miss_rate
               << "\n  p50=" << p.p50_ms << "ms p99=" << p.p99_ms
@@ -465,8 +473,9 @@ int Run(bool smoke) {
     // Accounting must close: every sent request was answered or counted,
     // and goodput can never exceed the ok replies it is carved from.
     for (const PointResult& p : points) {
-      if (p.ok + p.rejected + p.deadline_missed + p.errors != p.sent ||
-          p.sent == 0) {
+      const int64_t answered = p.ok + p.rejected + p.deadline_missed +
+                               p.resource_exhausted + p.errors;
+      if (answered != p.sent || p.sent == 0) {
         std::cerr << "[smoke] request accounting does not close\n";
         return 1;
       }

@@ -10,8 +10,6 @@ namespace {
 void AppendRef(std::ostringstream* out, SlotRef ref) {
   if (ref == kNoSlot) {
     *out << "_";
-  } else if (ref == kAccSlot) {
-    *out << "acc";
   } else if (IsConstant(ref)) {
     *out << "c" << ConstantIndex(ref);
   } else {
@@ -62,9 +60,7 @@ std::string Disassemble(const Plan& plan) {
   out << " regs=" << plan.num_regs << " constants=" << plan.constants.size()
       << " instructions=" << plan.instructions.size() << "\n";
   out << "  recorded=" << plan.recorded_ops
-      << " folded=" << plan.folded_constants
-      << " fused_chains=" << plan.fused_chains
-      << " fused_ops=" << plan.fused_ops << "\n";
+      << " folded=" << plan.folded_constants << "\n";
   for (size_t i = 0; i < plan.constants.size(); ++i) {
     out << "  c" << i << " = const " << plan.constants[i].shape().ToString()
         << "\n";
@@ -75,21 +71,7 @@ std::string Disassemble(const Plan& plan) {
       if (i > 0) out << ", ";
       AppendRef(&out, ins.inputs[i]);
     }
-    if (ins.op == OpCode::kFusedChain) {
-      for (const FusedStep& step : ins.steps) {
-        out << "; " << OpCodeName(step.op);
-        if (step.operand != kNoSlot) {
-          out << " ";
-          if (step.acc_rhs) out << "swap ";
-          AppendRef(&out, step.operand);
-        }
-        std::ostringstream params;
-        AppendParams(&params, step.op, step.s0, step.s1, {});
-        out << params.str();
-      }
-    } else {
-      AppendParams(&out, ins.op, ins.s0, ins.s1, ins.ints);
-    }
+    AppendParams(&out, ins.op, ins.s0, ins.s1, ins.ints);
     out << ") -> " << ins.out_shape.ToString();
     if (!ins.release.empty()) {
       out << " release";

@@ -1,6 +1,6 @@
 // Deterministic text rendering of a Plan, for humans and for the golden
 // disassembly test (tests/golden/plan_*.txt): instruction-selection or
-// fusion drift shows up as a diff, not a silent perf change.
+// folding drift shows up as a diff, not a silent perf change.
 
 #ifndef EMAF_PLAN_DISASSEMBLER_H_
 #define EMAF_PLAN_DISASSEMBLER_H_

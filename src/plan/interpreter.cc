@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
-#include "plan/fused_kernel.h"
 #include "tensor/autograd.h"
 #include "tensor/ops.h"
 
@@ -160,18 +159,6 @@ Result<Tensor> Execute(const Plan& plan, const Tensor& input,
         }
         out = tensor::Conv2d(resolve(ins.inputs[0]), resolve(ins.inputs[1]),
                              bias, options);
-        break;
-      }
-      case OpCode::kFusedChain: {
-        const Tensor& stream = resolve(ins.inputs[0]);
-        std::vector<const void*> operands(ins.steps.size(), nullptr);
-        for (size_t s = 0; s < ins.steps.size(); ++s) {
-          SlotRef ref = ins.steps[s].operand;
-          if (ref != kNoSlot && ref != kAccSlot) {
-            operands[s] = resolve(ref).raw_data();
-          }
-        }
-        out = ExecuteFusedChain(ins, stream, operands);
         break;
       }
     }

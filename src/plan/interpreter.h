@@ -1,14 +1,12 @@
 // Plan execution: a flat loop over Instruction, no tape, no virtual
 // dispatch, no graph walk.
 //
-// Single-op instructions replay through exactly the free tensor-op
-// functions the module forward called — same kernels, same floating-point
-// order, hence bitwise-identical bytes at any thread-pool size (PR-1
-// determinism). kFusedChain instructions run the per-element program in
-// plan/fused_kernel.cc instead, one pass over the stream. Outputs draw
-// from the caller's arena exactly like module intermediates, and each
-// instruction's release list returns dead registers to the pool
-// mid-request.
+// Every instruction replays through exactly the free tensor-op function
+// the module forward called — same kernels, same floating-point order,
+// hence bitwise-identical bytes at any thread-pool size (PR-1
+// determinism). Outputs draw from the caller's arena exactly like module
+// intermediates, and each instruction's release list returns dead
+// registers to the pool mid-request.
 
 #ifndef EMAF_PLAN_INTERPRETER_H_
 #define EMAF_PLAN_INTERPRETER_H_

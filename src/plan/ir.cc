@@ -35,7 +35,6 @@ const char* OpCodeName(OpCode op) {
     case OpCode::kPad: return "Pad";
     case OpCode::kBroadcastTo: return "BroadcastTo";
     case OpCode::kConv2d: return "Conv2d";
-    case OpCode::kFusedChain: return "Fused";
   }
   return "?";
 }

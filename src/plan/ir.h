@@ -10,16 +10,12 @@
 // intermediates dying as the forward walks the graph.
 //
 // Slot references are signed: ref >= 0 names a register, ref < 0 names
-// constants[-1 - ref]. Two sentinels sit far outside both ranges: kNoSlot
-// (absent operand, e.g. Conv2d without bias or a unary fused step) and
-// kAccSlot (a binary fused step whose other operand is the chain
-// accumulator itself, e.g. x * x).
+// constants[-1 - ref]. The sentinel kNoSlot sits far outside both ranges
+// and marks an absent operand (Conv2d without bias).
 //
-// kFusedChain is the one opcode the recorder synthesizes: a run of
-// same-shape elementwise ops collapsed into a single pass over the
-// stream input, with each step's formula replicated per element in
-// plan/fused_kernel.cc (compiled with -ffp-contract=off so staged and
-// fused execution produce identical bytes).
+// Every opcode is one recorded tensor op: the interpreter replays each
+// instruction through the free tensor-op function the module forward
+// called, so plan and module run the same arithmetic.
 
 #ifndef EMAF_PLAN_IR_H_
 #define EMAF_PLAN_IR_H_
@@ -67,7 +63,6 @@ enum class OpCode : uint8_t {
   kBroadcastTo,  // ints = output shape dims
   kConv2d,       // inputs = {input, weight[, bias]}; ints = {stride_h,
                  // stride_w, pad_h, pad_w, dilation_h, dilation_w}
-  kFusedChain,   // inputs = {stream}; steps = per-element program
 };
 
 const char* OpCodeName(OpCode op);
@@ -76,37 +71,21 @@ const char* OpCodeName(OpCode op);
 using SlotRef = int32_t;
 inline constexpr SlotRef kInputReg = 0;
 inline constexpr SlotRef kNoSlot = std::numeric_limits<int32_t>::min();
-inline constexpr SlotRef kAccSlot = kNoSlot + 1;
 
 inline bool IsRegister(SlotRef ref) { return ref >= 0; }
-inline bool IsConstant(SlotRef ref) {
-  return ref < 0 && ref != kNoSlot && ref != kAccSlot;
-}
+inline bool IsConstant(SlotRef ref) { return ref < 0 && ref != kNoSlot; }
 inline int32_t ConstantIndex(SlotRef ref) { return -1 - ref; }
 inline SlotRef ConstantRef(int32_t index) { return -1 - index; }
-
-// One elementwise step of a fused chain. Unary steps (operand == kNoSlot)
-// transform the accumulator; binary steps combine it with operand[i]
-// (acc_rhs says which side the accumulator is on — Sub/Div care).
-struct FusedStep {
-  OpCode op;
-  SlotRef operand = kNoSlot;
-  bool acc_rhs = false;
-  tensor::Scalar s0 = 0.0;
-  tensor::Scalar s1 = 0.0;
-};
 
 struct Instruction {
   OpCode op;
   std::vector<SlotRef> inputs;
   int32_t out = 0;  // register written (never a constant)
-  // Resolved at record time; fused chains and the disassembly read it,
-  // and Execute's output check compares against the plan output's.
+  // Resolved at record time; the disassembly prints it.
   tensor::Shape out_shape;
   tensor::Scalar s0 = 0.0;
   tensor::Scalar s1 = 0.0;
   std::vector<int64_t> ints;
-  std::vector<FusedStep> steps;   // kFusedChain only
   std::vector<int32_t> release;   // registers dead after this instruction
 };
 
@@ -126,8 +105,6 @@ struct Plan {
   // Compile-time accounting (surfaced by the disassembly, golden-pinned).
   int64_t recorded_ops = 0;      // leaf ops in the raw recording
   int64_t folded_constants = 0;  // ops constant-folded away
-  int64_t fused_chains = 0;      // kFusedChain instructions emitted
-  int64_t fused_ops = 0;         // elementwise ops absorbed into chains
 };
 
 }  // namespace emaf::plan

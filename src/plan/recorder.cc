@@ -93,34 +93,6 @@ class RecordingSink final : public ph::Sink {
   std::vector<Tensor> constants_;
 };
 
-bool IsElementwise(OpCode op) {
-  switch (op) {
-    case OpCode::kAdd:
-    case OpCode::kSub:
-    case OpCode::kMul:
-    case OpCode::kDiv:
-    case OpCode::kMaximum:
-    case OpCode::kMinimum:
-    case OpCode::kNeg:
-    case OpCode::kExp:
-    case OpCode::kLog:
-    case OpCode::kSqrt:
-    case OpCode::kAbs:
-    case OpCode::kPow:
-    case OpCode::kClamp:
-    case OpCode::kAddScalar:
-    case OpCode::kMulScalar:
-    case OpCode::kRelu:
-    case OpCode::kLeakyRelu:
-    case OpCode::kElu:
-    case OpCode::kSigmoid:
-    case OpCode::kTanh:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool BitwiseEqual(const Tensor& a, const Tensor& b) {
   if (!(a.shape() == b.shape()) || a.dtype() != b.dtype()) return false;
   return std::memcmp(a.raw_data(), b.raw_data(),
@@ -195,70 +167,12 @@ Result<std::shared_ptr<const Plan>> Compile(models::Forecaster* model,
     }
   }
 
-  // ---- Fusion. Survivors in order; value -> surviving index maps.
-  std::vector<int32_t> order;  // surviving node indices
-  std::unordered_map<SlotRef, int32_t> producer;  // value -> index in order
-  for (int32_t i = 0; i < static_cast<int32_t>(nodes.size()); ++i) {
-    if (nodes[i].dead) continue;
-    producer[nodes[i].value] = static_cast<int32_t>(order.size());
-    order.push_back(i);
-  }
-  std::unordered_map<SlotRef, std::vector<int32_t>> consumers;
-  for (int32_t k = 0; k < static_cast<int32_t>(order.size()); ++k) {
-    for (SlotRef in : nodes[order[k]].inputs) {
-      if (IsRegister(in) && in != kInputReg) consumers[in].push_back(k);
-    }
-  }
-  auto shape_of = [&](SlotRef ref) -> const Shape& {
-    if (IsConstant(ref)) return constants[ConstantIndex(ref)].shape();
-    if (ref == kInputReg) return window.shape();
-    return nodes[order[producer.at(ref)]].out_shape;
-  };
-  auto fusable = [&](const Node& node) {
-    if (!IsElementwise(node.op)) return false;
-    for (SlotRef in : node.inputs) {
-      if (!(shape_of(in) == node.out_shape)) return false;
-    }
-    return true;
-  };
-
-  // chain_of[k]: index of the chain surviving-op k belongs to, else -1.
-  std::vector<int32_t> chain_of(order.size(), -1);
-  std::vector<std::vector<int32_t>> chains;  // member surviving-indices
-  for (int32_t head = 0; head < static_cast<int32_t>(order.size()); ++head) {
-    if (chain_of[head] >= 0 || !fusable(nodes[order[head]])) continue;
-    std::vector<int32_t> members = {head};
-    SlotRef tail = nodes[order[head]].value;
-    while (tail != output) {
-      auto it = consumers.find(tail);
-      if (it == consumers.end() || it->second.size() != 1) break;
-      int32_t next = it->second[0];
-      const Node& cand = nodes[order[next]];
-      if (chain_of[next] >= 0 || !fusable(cand)) break;
-      // A binary extension's other operand must already exist when the
-      // chain (placed at the head's position) runs: a constant, the
-      // window, or a value produced before the head. Operands produced
-      // between head and `next` would be pulled ahead of their producer.
-      bool ok = true;
-      for (SlotRef in : cand.inputs) {
-        if (in == tail || !IsRegister(in)) continue;
-        if (in != kInputReg && producer.at(in) >= head) ok = false;
-      }
-      if (!ok) break;
-      members.push_back(next);
-      tail = cand.value;
-    }
-    if (members.size() < 2) continue;
-    for (int32_t m : members) chain_of[m] = static_cast<int32_t>(chains.size());
-    chains.push_back(std::move(members));
-  }
-
-  // ---- Emit: registers in program order, chains at their head position
-  // producing the final member's value. Constants are deep-copied into
-  // the plan (a captured parameter tensor aliases the live module
-  // storage; a folded value may be a Reshape view of one), so a compiled
-  // plan is a true snapshot of the weights it was recorded from and owns
-  // heap storage independent of any arena.
+  // ---- Emit: one instruction per surviving op, registers in program
+  // order. Constants are deep-copied into the plan (a captured parameter
+  // tensor aliases the live module storage; a folded value may be a
+  // Reshape view of one), so a compiled plan is a true snapshot of the
+  // weights it was recorded from and owns heap storage independent of any
+  // arena.
   tensor::ArenaScope no_arena(nullptr);
   auto plan = std::make_shared<Plan>();
   plan->family = model->name();
@@ -272,7 +186,7 @@ Result<std::shared_ptr<const Plan>> Compile(models::Forecaster* model,
   reg_of[kInputReg] = kInputReg;
   std::unordered_map<int32_t, int32_t> const_of;  // old const idx -> new
   auto remap = [&](SlotRef ref) -> SlotRef {
-    if (ref == kNoSlot || ref == kAccSlot) return ref;
+    if (ref == kNoSlot) return ref;
     if (IsRegister(ref)) return reg_of.at(ref);
     auto [it, inserted] =
         const_of.try_emplace(ConstantIndex(ref),
@@ -283,60 +197,17 @@ Result<std::shared_ptr<const Plan>> Compile(models::Forecaster* model,
     return ConstantRef(it->second);
   };
 
-  for (int32_t k = 0; k < static_cast<int32_t>(order.size()); ++k) {
-    const Node& node = nodes[order[k]];
-    int32_t chain = chain_of[k];
-    if (chain >= 0 && chains[chain][0] != k) continue;  // fused into head
+  for (const Node& node : nodes) {
+    if (node.dead) continue;
     Instruction ins;
-    int32_t out_value;
-    if (chain < 0) {
-      ins.op = node.op;
-      ins.s0 = node.s0;
-      ins.s1 = node.s1;
-      ins.ints = node.ints;
-      ins.out_shape = node.out_shape;
-      for (SlotRef in : node.inputs) ins.inputs.push_back(remap(in));
-      out_value = node.value;
-    } else {
-      const std::vector<int32_t>& members = chains[chain];
-      ins.op = OpCode::kFusedChain;
-      ins.inputs.push_back(remap(node.inputs[0]));  // the stream
-      SlotRef tail = kNoSlot;  // head's step sees no accumulator yet
-      for (size_t m = 0; m < members.size(); ++m) {
-        const Node& step_node = nodes[order[members[m]]];
-        FusedStep step;
-        step.op = step_node.op;
-        step.s0 = step_node.s0;
-        step.s1 = step_node.s1;
-        if (step_node.inputs.size() == 2) {
-          SlotRef lhs = step_node.inputs[0];
-          SlotRef rhs = step_node.inputs[1];
-          if (m == 0) {
-            // Head: inputs[0] streams, inputs[1] is the operand (they may
-            // alias, e.g. Mul(x, x)).
-            step.operand = remap(rhs);
-            step.acc_rhs = false;
-          } else if (lhs == tail && rhs == tail) {
-            step.operand = kAccSlot;
-          } else if (lhs == tail) {
-            step.operand = remap(rhs);
-            step.acc_rhs = false;
-          } else {
-            step.operand = remap(lhs);
-            step.acc_rhs = true;
-          }
-        }
-        ins.steps.push_back(step);
-        tail = step_node.value;
-      }
-      const Node& last = nodes[order[members.back()]];
-      ins.out_shape = last.out_shape;
-      out_value = last.value;
-      plan->fused_chains += 1;
-      plan->fused_ops += static_cast<int64_t>(members.size());
-    }
+    ins.op = node.op;
+    ins.s0 = node.s0;
+    ins.s1 = node.s1;
+    ins.ints = node.ints;
+    ins.out_shape = node.out_shape;
+    for (SlotRef in : node.inputs) ins.inputs.push_back(remap(in));
     ins.out = plan->num_regs++;
-    reg_of[out_value] = ins.out;
+    reg_of[node.value] = ins.out;
     plan->instructions.push_back(std::move(ins));
   }
   plan->output = remap(output);
@@ -350,9 +221,6 @@ Result<std::shared_ptr<const Plan>> Compile(models::Forecaster* model,
       const Instruction& ins = plan->instructions[k];
       for (SlotRef in : ins.inputs) {
         if (IsRegister(in)) last_use[in] = k;
-      }
-      for (const FusedStep& step : ins.steps) {
-        if (IsRegister(step.operand)) last_use[step.operand] = k;
       }
     }
     if (IsRegister(plan->output)) last_use[plan->output] = -1;  // kept
@@ -408,7 +276,6 @@ Result<std::shared_ptr<const Plan>> Compile(models::Forecaster* model,
   }
 
   EMAF_METRIC_COUNTER_ADD("plan.compiles_total", 1);
-  EMAF_METRIC_COUNTER_ADD("plan.fused_chains", plan->fused_chains);
   return std::shared_ptr<const Plan>(std::move(plan));
 }
 

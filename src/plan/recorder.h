@@ -11,10 +11,9 @@
 //                  its recorded output becomes a constant (this swallows
 //                  parameter-only subgraphs like MTGNN's graph learner);
 //   3. DCE       — ops whose results never reach the output are dropped;
-//   4. fuse      — runs of same-shape elementwise ops with single
-//                  consumers collapse into kFusedChain instructions;
-//   5. allocate  — values get dense register ids and per-instruction
-//                  release lists (arena buffers recycle within a request).
+//   4. allocate  — each surviving op becomes one instruction; values get
+//                  dense register ids and per-instruction release lists
+//                  (arena buffers recycle within a request).
 //
 // The compiled plan is then *verified* before it is returned: it must
 // reproduce the warm-up output bitwise, and — on a perturbed copy of the

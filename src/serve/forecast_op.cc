@@ -26,6 +26,17 @@ Result<tensor::Tensor> ExecuteForecast(models::Forecaster* model,
     return Status::Unavailable(
         StrCat("injected fault: serve.request/", individual_id));
   }
+  // The forward CHECK-fails on a window it was not built for; refuse one
+  // here so a malformed request fails alone instead of aborting the
+  // process.
+  if (!window.defined() || window.rank() != 3 || window.dim(0) < 1 ||
+      window.dim(1) != model->input_length() ||
+      window.dim(2) != model->num_variables()) {
+    return Status::InvalidArgument(StrCat(
+        "forecast window for ", individual_id, ": expected [B >= 1, ",
+        model->input_length(), ", ", model->num_variables(), "], got ",
+        window.defined() ? window.shape().ToString() : "no tensor"));
+  }
   // An f32-resident model executes natively in its own element type: the
   // request window (wire doubles) is cast once on entry and the forecast
   // cast back on exit, both drawing from the arena. The model's

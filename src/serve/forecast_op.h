@@ -56,7 +56,9 @@ struct Deadline {
 // null runs the module path unconditionally (plans disabled). The
 // deadline is re-checked at entry — before the plan/module branch — so a
 // request that expired between batch-close and slot start returns
-// kDeadlineExceeded without burning a forward pass.
+// kDeadlineExceeded without burning a forward pass. A window that is not
+// rank 3 with B >= 1, L == model->input_length() and
+// V == model->num_variables() is kInvalidArgument.
 Result<tensor::Tensor> ExecuteForecast(models::Forecaster* model,
                                        const std::string& individual_id,
                                        const tensor::Tensor& window,

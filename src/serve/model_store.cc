@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
@@ -377,13 +378,13 @@ std::optional<std::pair<std::string, uint64_t>> ParseVersionedName(
   const size_t dot_v = stem.rfind(".v");
   if (dot_v == std::string_view::npos) return std::nullopt;
   const std::string_view digits = stem.substr(dot_v + 2);
-  if (digits.empty()) return std::nullopt;
+  const char* end = digits.data() + digits.size();
   uint64_t version = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') return std::nullopt;
-    version = version * 10 + static_cast<uint64_t>(c - '0');
+  // from_chars refuses empty, signed and out-of-range digit strings.
+  const auto [parsed_end, ec] = std::from_chars(digits.data(), end, version);
+  if (ec != std::errc() || parsed_end != end || version == 0) {
+    return std::nullopt;
   }
-  if (version == 0) return std::nullopt;
   return std::make_pair(std::string(stem.substr(0, dot_v)), version);
 }
 

@@ -134,205 +134,4 @@ void MatMulF32(const float* a, const float* b, float* c, int64_t m, int64_t k,
   }
 }
 
-void BinaryF32(EwOp op, float* dst, const float* other, bool swapped,
-               int64_t n) {
-  // Each op is one IEEE operation per element, so the 8-lane arm and the
-  // scalar tail/fallback produce identical bytes. The scalar expressions
-  // mirror the op-layer lambdas (ops_elementwise.cc) exactly — vmaxps(x,y)
-  // is `x > y ? x : y` for every input including NaNs and signed zeros.
-  const bool use_simd = Enabled();
-  int64_t i = 0;
-  switch (op) {
-    case EwOp::kAdd:
-      if (use_simd) {
-        for (; i + 8 <= n; i += 8) {
-          _mm256_storeu_ps(dst + i, _mm256_add_ps(_mm256_loadu_ps(dst + i),
-                                                  _mm256_loadu_ps(other + i)));
-        }
-      }
-      for (; i < n; ++i) dst[i] = dst[i] + other[i];
-      break;
-    case EwOp::kSub:
-      if (swapped) {
-        if (use_simd) {
-          for (; i + 8 <= n; i += 8) {
-            _mm256_storeu_ps(dst + i,
-                             _mm256_sub_ps(_mm256_loadu_ps(other + i),
-                                           _mm256_loadu_ps(dst + i)));
-          }
-        }
-        for (; i < n; ++i) dst[i] = other[i] - dst[i];
-      } else {
-        if (use_simd) {
-          for (; i + 8 <= n; i += 8) {
-            _mm256_storeu_ps(dst + i,
-                             _mm256_sub_ps(_mm256_loadu_ps(dst + i),
-                                           _mm256_loadu_ps(other + i)));
-          }
-        }
-        for (; i < n; ++i) dst[i] = dst[i] - other[i];
-      }
-      break;
-    case EwOp::kMul:
-      if (use_simd) {
-        for (; i + 8 <= n; i += 8) {
-          _mm256_storeu_ps(dst + i, _mm256_mul_ps(_mm256_loadu_ps(dst + i),
-                                                  _mm256_loadu_ps(other + i)));
-        }
-      }
-      for (; i < n; ++i) dst[i] = dst[i] * other[i];
-      break;
-    case EwOp::kDiv:
-      if (swapped) {
-        if (use_simd) {
-          for (; i + 8 <= n; i += 8) {
-            _mm256_storeu_ps(dst + i,
-                             _mm256_div_ps(_mm256_loadu_ps(other + i),
-                                           _mm256_loadu_ps(dst + i)));
-          }
-        }
-        for (; i < n; ++i) dst[i] = other[i] / dst[i];
-      } else {
-        if (use_simd) {
-          for (; i + 8 <= n; i += 8) {
-            _mm256_storeu_ps(dst + i,
-                             _mm256_div_ps(_mm256_loadu_ps(dst + i),
-                                           _mm256_loadu_ps(other + i)));
-          }
-        }
-        for (; i < n; ++i) dst[i] = dst[i] / other[i];
-      }
-      break;
-    case EwOp::kMax: {
-      const float* x = swapped ? other : dst;
-      const float* y = swapped ? dst : other;
-      if (use_simd) {
-        for (; i + 8 <= n; i += 8) {
-          _mm256_storeu_ps(dst + i, _mm256_max_ps(_mm256_loadu_ps(x + i),
-                                                  _mm256_loadu_ps(y + i)));
-        }
-      }
-      for (; i < n; ++i) dst[i] = x[i] > y[i] ? x[i] : y[i];
-      break;
-    }
-    case EwOp::kMin: {
-      const float* x = swapped ? other : dst;
-      const float* y = swapped ? dst : other;
-      if (use_simd) {
-        for (; i + 8 <= n; i += 8) {
-          _mm256_storeu_ps(dst + i, _mm256_min_ps(_mm256_loadu_ps(x + i),
-                                                  _mm256_loadu_ps(y + i)));
-        }
-      }
-      for (; i < n; ++i) dst[i] = x[i] < y[i] ? x[i] : y[i];
-      break;
-    }
-  }
-}
-
-void UnaryF32(UnOp op, float* dst, float s0, float s1, int64_t n) {
-  const bool use_simd = Enabled();
-  int64_t i = 0;
-  switch (op) {
-    case UnOp::kNeg: {
-      // IEEE negate flips the sign bit; XOR is that operation exactly.
-      if (use_simd) {
-        const __m256 sign = _mm256_set1_ps(-0.0f);
-        for (; i + 8 <= n; i += 8) {
-          _mm256_storeu_ps(dst + i,
-                           _mm256_xor_ps(_mm256_loadu_ps(dst + i), sign));
-        }
-      }
-      for (; i < n; ++i) dst[i] = -dst[i];
-      break;
-    }
-    case UnOp::kAbs: {
-      if (use_simd) {
-        const __m256 mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
-        for (; i + 8 <= n; i += 8) {
-          _mm256_storeu_ps(dst + i,
-                           _mm256_and_ps(_mm256_loadu_ps(dst + i), mask));
-        }
-      }
-      for (; i < n; ++i) dst[i] = std::fabs(dst[i]);
-      break;
-    }
-    case UnOp::kSqrt:
-      if (use_simd) {
-        for (; i + 8 <= n; i += 8) {
-          _mm256_storeu_ps(dst + i, _mm256_sqrt_ps(_mm256_loadu_ps(dst + i)));
-        }
-      }
-      for (; i < n; ++i) dst[i] = std::sqrt(dst[i]);
-      break;
-    case UnOp::kRelu: {
-      // vmaxps(v, 0) is `v > 0 ? v : 0` for every input (NaN -> 0 in both).
-      if (use_simd) {
-        const __m256 zero = _mm256_setzero_ps();
-        for (; i + 8 <= n; i += 8) {
-          _mm256_storeu_ps(dst + i,
-                           _mm256_max_ps(_mm256_loadu_ps(dst + i), zero));
-        }
-      }
-      for (; i < n; ++i) dst[i] = dst[i] > 0.0f ? dst[i] : 0.0f;
-      break;
-    }
-    case UnOp::kLeakyRelu: {
-      if (use_simd) {
-        const __m256 zero = _mm256_setzero_ps();
-        const __m256 slope = _mm256_set1_ps(s0);
-        for (; i + 8 <= n; i += 8) {
-          const __m256 v = _mm256_loadu_ps(dst + i);
-          const __m256 pos = _mm256_cmp_ps(v, zero, _CMP_GT_OQ);
-          _mm256_storeu_ps(
-              dst + i, _mm256_blendv_ps(_mm256_mul_ps(slope, v), v, pos));
-        }
-      }
-      for (; i < n; ++i) {
-        dst[i] = dst[i] > 0.0f ? dst[i] : s0 * dst[i];
-      }
-      break;
-    }
-    case UnOp::kClamp: {
-      // vmaxps(lo, v) is `v < lo ? lo : v` and vminps(hi, t) is
-      // `t > hi ? hi : t` for every input (NaN passes through both), which
-      // composes to the op lambda's `v < lo ? lo : (v > hi ? hi : v)`.
-      if (use_simd) {
-        const __m256 lo = _mm256_set1_ps(s0);
-        const __m256 hi = _mm256_set1_ps(s1);
-        for (; i + 8 <= n; i += 8) {
-          _mm256_storeu_ps(
-              dst + i,
-              _mm256_min_ps(hi, _mm256_max_ps(lo, _mm256_loadu_ps(dst + i))));
-        }
-      }
-      for (; i < n; ++i) {
-        const float v = dst[i];
-        dst[i] = v < s0 ? s0 : (v > s1 ? s1 : v);
-      }
-      break;
-    }
-    case UnOp::kAddScalar: {
-      if (use_simd) {
-        const __m256 s = _mm256_set1_ps(s0);
-        for (; i + 8 <= n; i += 8) {
-          _mm256_storeu_ps(dst + i, _mm256_add_ps(_mm256_loadu_ps(dst + i), s));
-        }
-      }
-      for (; i < n; ++i) dst[i] = dst[i] + s0;
-      break;
-    }
-    case UnOp::kMulScalar: {
-      if (use_simd) {
-        const __m256 s = _mm256_set1_ps(s0);
-        for (; i + 8 <= n; i += 8) {
-          _mm256_storeu_ps(dst + i, _mm256_mul_ps(_mm256_loadu_ps(dst + i), s));
-        }
-      }
-      for (; i < n; ++i) dst[i] = dst[i] * s0;
-      break;
-    }
-  }
-}
-
 }  // namespace emaf::tensor::simd

@@ -1,27 +1,20 @@
-// Runtime-dispatched f32 kernels: an AVX2/FMA arm and a scalar fallback
+// Runtime-dispatched f32 matmul: an AVX2/FMA arm and a scalar fallback
 // that produce bitwise-identical results (DESIGN.md, "Dtype layer & SIMD
 // dispatch").
 //
 // Dispatch: Enabled() is true when the CPU reports AVX2+FMA and the
 // process was not started with EMAF_NO_SIMD=1; tests flip arms with
-// SetEnabledForTest. Both arms of every kernel perform the same IEEE
-// operations in the same order — the SIMD matmul arm uses
-// _mm256_fmadd_ps where the scalar arm uses std::fmaf (one fused
-// multiply-add either way), and the elementwise kernels are single
-// IEEE-exact operations (add/mul/max/...) whose lane order never affects
-// the per-element result. That is the contract the f32 plan path's
-// bitwise determinism (across thread counts AND dispatch arms) rests on.
+// SetEnabledForTest. Both arms perform the same IEEE operations in the
+// same order — the SIMD arm uses _mm256_fmadd_ps where the scalar arm
+// uses std::fmaf (one FMA either way). That is the contract the f32
+// path's bitwise determinism (across thread counts AND dispatch arms)
+// rests on.
 //
-// This header is included from op and plan code; the implementation lives
-// in its own TU (simd_f32.cc) compiled with -ffp-contract=off, pinned in
-// src/CMakeLists.txt like plan/fused_kernel.cc, so the compiler cannot
+// The implementation lives in its own TU (simd_f32.cc) compiled with
+// -ffp-contract=off, pinned in src/CMakeLists.txt, so the compiler cannot
 // contract neighboring mul/add expressions into FMAs we did not write.
 // The explicit std::fmaf calls are unaffected: contraction settings only
-// govern *implicit* fusion.
-//
-// Layering: tensor/ must not see plan/ headers, so the fused-chain entry
-// points take this file's own op enums; plan/fused_kernel.cc maps its
-// OpCode values onto them.
+// govern *implicit* contraction.
 
 #ifndef EMAF_TENSOR_SIMD_F32_H_
 #define EMAF_TENSOR_SIMD_F32_H_
@@ -45,31 +38,6 @@ bool SetEnabledForTest(bool enabled);
 // threads and still get bytes identical to one serial call.
 void MatMulF32(const float* a, const float* b, float* c, int64_t m,
                int64_t k, int64_t n);
-
-// Binary elementwise ops that are a single IEEE operation per element
-// (bitwise-equal across arms by IEEE determinism).
-enum class EwOp : uint8_t { kAdd, kSub, kMul, kDiv, kMax, kMin };
-
-// dst[i] = op(dst[i], other[i]) — or op(other[i], dst[i]) when `swapped`
-// (for non-commutative ops whose accumulator is the right operand).
-void BinaryF32(EwOp op, float* dst, const float* other, bool swapped,
-               int64_t n);
-
-// Unary elementwise ops that are a single IEEE operation per element.
-// s0/s1 carry the op's immediates (clamp bounds, scalar addend, ...).
-enum class UnOp : uint8_t {
-  kNeg,
-  kAbs,
-  kSqrt,
-  kRelu,
-  kLeakyRelu,  // v > 0 ? v : s0 * v
-  kClamp,      // min(max(v, s0), s1)
-  kAddScalar,  // v + s0
-  kMulScalar,  // v * s0
-};
-
-// dst[i] = op(dst[i], s0, s1), in place.
-void UnaryF32(UnOp op, float* dst, float s0, float s1, int64_t n);
 
 }  // namespace emaf::tensor::simd
 

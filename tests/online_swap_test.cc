@@ -232,17 +232,20 @@ TEST(HotSwapTest, ReloadManifestGrowsAndRejectsMalformedWhole) {
 
 // Store and publisher read a directory through one name parser: only
 // `<id>.v<N>.snapshot` is a version of `<id>`; `a.v2.b.snapshot` is the
-// plain tenant `a.v2.b` to both.
+// plain tenant `a.v2.b` to both, and so is a version number past
+// UINT64_MAX (2^64 + 1 must not wrap to version 1 of `a`).
 TEST(HotSwapTest, StoreAndPublisherAgreeOnVersionedNames) {
   const std::string dir = FreshDir("swap_names");
   serve::testutil::MakeTinySnapshotDir(dir, {"i1"});
   SaveDistinctSnapshot(dir, "a.v2.b.snapshot", 5);
   SaveDistinctSnapshot(dir, "i1.v3.snapshot", 6);
+  SaveDistinctSnapshot(dir, "a.v18446744073709551617.snapshot", 7);
 
   Result<ModelStore> store = ModelStore::Open(dir);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   EXPECT_EQ(store.value().individual_ids(),
-            (std::vector<std::string>{"a.v2.b", "i1"}));
+            (std::vector<std::string>{"a.v18446744073709551617", "a.v2.b",
+                                      "i1"}));
   ASSERT_TRUE(store.value().Publish("a.v2.b", dir + "/a.v2.b.snapshot").ok());
   EXPECT_EQ(store.value().max_published_version(), 0u);
 

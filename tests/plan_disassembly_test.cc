@@ -1,8 +1,8 @@
 // Golden IR gate for compiled plans: the text disassembly of a seeded
 // LSTM plan and a seeded MTGNN plan must match tests/golden/plan_lstm.txt
 // and tests/golden/plan_mtgnn.txt BYTE FOR BYTE. Instruction selection,
-// constant folding, fusion grouping and register/release assignment all
-// land in these bytes, so compiler drift is a reviewable diff instead of
+// constant folding, dead-code elimination and register/release assignment
+// all land in these bytes, so compiler drift is a reviewable diff instead of
 // a silent perf (or correctness) change.
 //
 // Updating after an intentional compiler change:

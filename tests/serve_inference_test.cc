@@ -370,6 +370,34 @@ TEST(ServePlanLifecycle, EvictionDropsCachedPlanAndReloadServesNewWeights) {
   std::filesystem::remove_all(dir);
 }
 
+// The cache holds one plan, for the latest window shape: a new batch size
+// compiles and replaces it, and returning to the old size compiles again.
+// Every reply stays bitwise the module path's.
+TEST(ServePlanLifecycle, WindowShapeChangeRecompilesAndReplacesThePlan) {
+  namespace tu = testutil;
+  std::string dir = ::testing::TempDir() + "/plan_shape_snapshots";
+  tu::MakeTinySnapshotDir(dir, {"alpha"});
+  ModelStore store = OpenOrDie(dir);
+  tensor::InferenceArena arena;
+  Result<ModelHandle> handle = store.Get("alpha");
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+
+  Rng rng(4242);
+  for (int64_t batch : {1, 3, 1}) {
+    Tensor window = Tensor::Uniform(
+        Shape{batch, tu::kTinySteps, tu::kTinyVars}, -1, 1, &rng);
+    Result<Tensor> served =
+        ExecuteForecast(handle.value().get(), "alpha", window, &arena,
+                        handle.value().plans());
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_EQ(served.value().ToVector(),
+              core::Predict(handle.value().get(), window).ToVector())
+        << "batch " << batch;
+  }
+  EXPECT_EQ(handle.value().plans()->compiles(), 3);
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(ServeTest, RequestFaultSiteFailsOnlyTheTargetedIndividual) {
   if (!fault::kFaultInjectionEnabled) GTEST_SKIP();
   ModelStore store = OpenOrDie(*dir_);

@@ -22,6 +22,7 @@
 
 #include "common/fault_injection.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/evaluator.h"
 #include "graph/adjacency.h"
@@ -482,6 +483,32 @@ TEST_F(ServerTest, UnknownTenantIsNotFound) {
   Result<Tensor> forecast = client.Forecast("stranger", *window_);
   EXPECT_EQ(forecast.status().code(), StatusCode::kNotFound);
   EXPECT_TRUE(client.Ping().ok());  // per-request failure only
+}
+
+// A well-formed request whose window the tenant was not built for (wrong
+// L, wrong V, rank 2, empty batch) fails alone with kInvalidArgument
+// naming both shapes; the forward would CHECK-fail on it and take the
+// whole server down. The connection then serves a correct window.
+TEST_F(ServerTest, MisShapedWindowIsInvalidArgumentAndTheConnectionSurvives) {
+  Server server = StartServerOrDie();
+  Client client = ConnectOrDie(server);
+  for (const Shape& shape :
+       {Shape{1, kSteps + 2, kVars}, Shape{1, kSteps, kVars + 1},
+        Shape{kSteps, kVars}, Shape{0, kSteps, kVars}}) {
+    Result<Tensor> forecast = client.Forecast("LSTM", Tensor::Zeros(shape));
+    EXPECT_EQ(forecast.status().code(), StatusCode::kInvalidArgument)
+        << shape.ToString() << ": " << forecast.status().ToString();
+    const std::string& message = forecast.status().message();
+    EXPECT_NE(message.find(StrCat("expected [B >= 1, ", kSteps, ", ", kVars,
+                                  "]")),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("got " + shape.ToString()), std::string::npos)
+        << message;
+  }
+  Result<Tensor> forecast = client.Forecast("LSTM", *window_);
+  ASSERT_TRUE(forecast.ok()) << forecast.status().ToString();
+  EXPECT_EQ(forecast.value().ToVector(), expected_->at("LSTM"));
 }
 
 TEST_F(ServerTest, ClientSendingAServerFrameTypeIsDisconnected) {
