@@ -10,6 +10,7 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <unordered_set>
 #include <utility>
 
 #include "common/check.h"
@@ -133,6 +134,10 @@ struct ModelStore::Impl {
     mutable std::mutex mu;
     std::condition_variable cv;
     std::map<std::string, std::shared_ptr<StoreEntry>> entries;
+    // The entries of `entries` that hold a model: an entry is in here
+    // exactly while its `model` is set. Eviction scans only these, so its
+    // cost follows the resident models, not every known tenant.
+    std::unordered_set<std::shared_ptr<StoreEntry>> resident;
   };
 
   ModelStoreOptions options;
@@ -179,6 +184,16 @@ struct ModelStore::Impl {
     return false;
   }
 
+  // Drops the store's reference to `entry`'s model and plans and its
+  // budget charge. Caller holds `shard.mu` and has checked `entry->model`.
+  void DropResident(Shard& shard, const std::shared_ptr<StoreEntry>& entry) {
+    entry->model.reset();
+    entry->plans.reset();
+    shard.resident.erase(entry);
+    resident_models.fetch_sub(1, std::memory_order_relaxed);
+    resident_bytes.fetch_sub(entry->resident_bytes, std::memory_order_relaxed);
+  }
+
   // Evicts the globally least-recently-used idle resident model (ties
   // break toward the smaller id). Entries in `skip` are passed over —
   // that's how a fault-injected eviction failure is handled without
@@ -192,10 +207,10 @@ struct ModelStore::Impl {
       uint64_t victim_tick = 0;
       for (const std::unique_ptr<Shard>& shard : shards) {
         std::lock_guard<std::mutex> lock(shard->mu);
-        for (const auto& [id, entry] : shard->entries) {
-          if (entry->model == nullptr || entry->loading) continue;
+        for (const std::shared_ptr<StoreEntry>& entry : shard->resident) {
+          if (entry->loading) continue;
           if (entry->pins.load(std::memory_order_acquire) != 0) continue;
-          if (skip->count(id) != 0) continue;
+          if (skip->count(entry->id) != 0) continue;
           uint64_t t = entry->last_used.load(std::memory_order_relaxed);
           if (victim == nullptr || t < victim_tick ||
               (t == victim_tick && entry->id < victim->id)) {
@@ -221,11 +236,7 @@ struct ModelStore::Impl {
           skip->insert(victim->id);
           continue;  // victim is non-evictable this pass
         }
-        victim->model.reset();
-        victim->plans.reset();
-        resident_models.fetch_sub(1, std::memory_order_relaxed);
-        resident_bytes.fetch_sub(victim->resident_bytes,
-                                 std::memory_order_relaxed);
+        DropResident(shard, victim);
         evicted = true;
       }
       if (evicted) {
@@ -237,16 +248,27 @@ struct ModelStore::Impl {
     }
   }
 
+  Status Exhausted(std::string message) {
+    exhausted.fetch_add(1, std::memory_order_relaxed);
+    EMAF_METRIC_COUNTER_ADD("serve.store.exhausted_total", 1);
+    return Status::ResourceExhausted(std::move(message));
+  }
+
   // Makes room for one more resident model of `extra_bytes`, evicting LRU
   // idle models as needed. kResourceExhausted when over budget with
-  // nothing evictable.
+  // nothing evictable, and — before evicting anything — when the model
+  // alone is larger than the whole byte budget.
   Status EnsureBudgetFor(int64_t extra_bytes) {
+    if (options.max_resident_bytes > 0 &&
+        extra_bytes > options.max_resident_bytes) {
+      return Exhausted(StrCat("model estimated at ", extra_bytes,
+                              " bytes exceeds max_resident_bytes=",
+                              options.max_resident_bytes));
+    }
     std::set<std::string> skip;
     while (OverBudget(/*extra_models=*/1, extra_bytes)) {
       if (!EvictLruIdle(&skip)) {
-        exhausted.fetch_add(1, std::memory_order_relaxed);
-        EMAF_METRIC_COUNTER_ADD("serve.store.exhausted_total", 1);
-        return Status::ResourceExhausted(StrCat(
+        return Exhausted(StrCat(
             "model budget exhausted (resident_models=",
             resident_models.load(std::memory_order_relaxed),
             ", resident_bytes=",
@@ -597,6 +619,7 @@ Result<ModelHandle> ModelStore::Get(const std::string& id) {
       entry->model = model;
       entry->resident_bytes = model_bytes;
       entry->plans = plans;
+      shard.resident.insert(entry);
       installed = true;
     }
     // On a generation mismatch a Publish/Invalidate landed while the disk
@@ -671,11 +694,7 @@ Status ModelStore::Publish(const std::string& id, const std::string& path,
       // Same critical section as the eviction path: the store's references
       // to the stale residency and its PlanCache drop here; in-flight
       // handles co-own both, so pinned requests finish on the old bytes.
-      entry->model.reset();
-      entry->plans.reset();
-      impl_->resident_models.fetch_sub(1, std::memory_order_relaxed);
-      impl_->resident_bytes.fetch_sub(entry->resident_bytes,
-                                      std::memory_order_relaxed);
+      impl_->DropResident(shard, entry);
     }
     // The old residency's size says nothing about the new snapshot's, so
     // the estimate resets instead of leaking into swap-admission math.
@@ -721,11 +740,7 @@ bool ModelStore::Invalidate(const std::string& id) {
     uintmax_t bytes = std::filesystem::file_size(entry.path, ec);
     if (!ec) entry.file_bytes = static_cast<int64_t>(bytes);
     if (entry.model != nullptr) {
-      entry.model.reset();
-      entry.plans.reset();
-      impl_->resident_models.fetch_sub(1, std::memory_order_relaxed);
-      impl_->resident_bytes.fetch_sub(entry.resident_bytes,
-                                      std::memory_order_relaxed);
+      impl_->DropResident(shard, it->second);
       entry.resident_bytes = 0;
       dropped = true;
     }

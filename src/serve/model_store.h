@@ -15,7 +15,8 @@
 // evicted, and a handle additionally co-owns the model storage, so even a
 // buggy eviction could not free memory in use. Get() returns
 // kResourceExhausted only when the budget is exceeded and nothing is
-// evictable (every resident model pinned).
+// evictable (every resident model pinned), or — before evicting anything
+// — when the model's estimate alone exceeds `max_resident_bytes`.
 //
 // Determinism: a reloaded model is rebuilt from the same snapshot bytes
 // (bit-exact config round-trip + raw-double weights), so its forecasts are
@@ -23,10 +24,13 @@
 // schedule serves the same bytes.
 //
 // Concurrency: entries are sharded by id hash over 8 shards; each shard
-// has one mutex. No path ever holds two locks, and disk loads run outside
-// any lock — concurrent Get()s of one id coalesce on a per-shard condition variable
-// (single-flight), concurrent Get()s of different ids on different shards
-// never contend. Pin release is a lock-free atomic decrement.
+// has one mutex and an index of its entries that hold a model. Eviction
+// scans only those indexes, one shard at a time, so a cold Get costs
+// O(resident models), not O(known tenants). No path ever holds two locks,
+// and disk loads run outside any lock — concurrent Get()s of one id
+// coalesce on a per-shard condition variable (single-flight), concurrent
+// Get()s of different ids on different shards never contend. Pin release
+// is a lock-free atomic decrement.
 //
 // Hot swap (DESIGN.md, "Online ingestion & hot-swap"): Publish(id, path)
 // atomically retargets a tenant to a new snapshot file. Requests already
@@ -188,7 +192,9 @@ class ModelStore {
   // The pinned model for `id`, cold-loading it on first use.
   //   kNotFound          — no snapshot for `id` in the directory;
   //   kResourceExhausted — budget exceeded and every resident model is
-  //                        pinned (nothing evictable);
+  //                        pinned (nothing evictable), or the model alone
+  //                        is larger than max_resident_bytes (nothing is
+  //                        evicted for it);
   //   kUnavailable       — fault site serve.store.load/<id> fired;
   //   kInvalidArgument   — snapshot malformed or of an unsupported format
   //                        version (the message names the file and the

@@ -5,8 +5,9 @@
 // the version watermark is monotonic (filename-derived or explicit), a
 // malformed MANIFEST rewrite is rejected whole — the publish fault site
 // (old version keeps serving), the full OnlinePipeline loop (append ->
-// fine-tune -> publish -> swap == cold engine on the new snapshot), and a
-// threaded Get-vs-Publish hammer for tsan.
+// fine-tune -> publish -> swap == cold engine on the new snapshot), and
+// threaded Get-vs-Publish hammers for tsan, one of them under eviction
+// pressure.
 
 #include <atomic>
 #include <cmath>
@@ -22,6 +23,7 @@
 
 #include "common/fault_injection.h"
 #include "common/rng.h"
+#include "common/status.h"
 #include "core/evaluator.h"
 #include "models/registry.h"
 #include "online/observation_log.h"
@@ -414,6 +416,72 @@ TEST(HotSwapTest, ConcurrentGetsDuringPublishServeExactlyOneVersion) {
     EXPECT_EQ(mixed.load(), 0) << num_threads << " threads";
     EXPECT_EQ(Served(store, "i1"), fresh);
   }
+}
+
+// tsan hammer under eviction pressure: 8 readers Get+Predict tenants a, b
+// and c, which a MANIFEST maps to one file, from a store with room for two
+// models, while tenant a is published back and forth between two files.
+// Every reply must be bitwise f0's or (for a) f1's, each handle answers to
+// the id it was requested for, and afterwards the resident count agrees
+// with the residents eviction can find.
+TEST(HotSwapTest, GetsUnderEvictionDuringPublishServeExactlyOneFile) {
+  const std::string dir = FreshDir("swap_evict_race");
+  fs::create_directories(dir);
+  const std::vector<double> f0 = SaveDistinctSnapshot(dir, "f0.snapshot", 100);
+  const std::vector<double> f1 = SaveDistinctSnapshot(dir, "f1.snapshot", 101);
+  ASSERT_NE(f0, f1);
+  ASSERT_TRUE(serve::WriteManifest(dir, {{"a", "f0.snapshot"},
+                                         {"b", "f0.snapshot"},
+                                         {"c", "f0.snapshot"}})
+                  .ok());
+  serve::ModelStoreOptions options;
+  options.max_resident_models = 2;
+  Result<ModelStore> opened = ModelStore::Open(dir, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ModelStore& store = opened.value();
+  const std::vector<std::string> ids = {"a", "b", "c"};
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> wrong{0};
+  std::atomic<int64_t> served{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 8; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(900 + static_cast<uint64_t>(t));
+      while (!stop.load(std::memory_order_relaxed)) {
+        const std::string& id = ids[static_cast<size_t>(rng.UniformInt(0, 2))];
+        Result<ModelHandle> handle = store.Get(id);
+        // Every resident model pinned by another reader: try again.
+        if (handle.status().code() == StatusCode::kResourceExhausted) continue;
+        if (!handle.ok() || handle.value().id() != id) {
+          wrong.fetch_add(1);
+          return;
+        }
+        const std::vector<double> bytes =
+            core::Predict(handle.value().get(), serve::testutil::TinyWindow())
+                .ToVector();
+        if (bytes != f0 && !(id == "a" && bytes == f1)) wrong.fetch_add(1);
+        served.fetch_add(1);
+      }
+    });
+  }
+  for (int round = 0; round < 40; ++round) {
+    const std::string file = round % 2 == 0 ? "/f1.snapshot" : "/f0.snapshot";
+    EXPECT_TRUE(store.Publish("a", dir + file).ok());
+    std::this_thread::yield();
+  }
+  stop.store(true);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(served.load(), 0);
+  EXPECT_GT(store.stats().evictions, 0u);
+  EXPECT_EQ(Served(store, "a"), f0);  // 40 rounds end on f0
+
+  int64_t resident = 0;
+  for (const std::string& id : ids) resident += store.resident(id) ? 1 : 0;
+  EXPECT_EQ(store.stats().resident_models, resident);
+  EXPECT_EQ(store.EvictIdle(), resident);
+  EXPECT_EQ(store.stats().resident_models, 0);
+  EXPECT_EQ(store.stats().resident_bytes, 0);
 }
 
 }  // namespace

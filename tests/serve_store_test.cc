@@ -1,10 +1,12 @@
 // ModelStore unit + concurrency + fault suite (ctest labels: store, fast,
 // tsan, fault). Covers lazy loading, LRU eviction under model/byte
 // budgets, pin semantics (kResourceExhausted only when nothing is
-// evictable), the v1-snapshot error contract, fault injection on load and
-// evict with per-tenant isolation, eviction-then-reload byte identity,
-// and an 8-thread get/evict/reload hammer (no use-after-evict: handles
-// pin and co-own their model).
+// evictable, and without evicting when one model outgrows the byte
+// budget), the v1-snapshot error contract, fault injection on load and
+// evict with per-tenant isolation, eviction-then-reload byte identity, a
+// model-based check of the LRU against a reference, and an 8-thread
+// get/evict/reload hammer (no use-after-evict: handles pin and co-own
+// their model).
 
 #include <atomic>
 #include <cstdint>
@@ -20,6 +22,7 @@
 #include "common/fault_injection.h"
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "core/evaluator.h"
 #include "models/registry.h"
 #include "nn/serialize.h"
@@ -331,6 +334,149 @@ TEST_F(ModelStoreTest, EvictFaultMakesVictimTemporarilyUnevictable) {
   ASSERT_TRUE(fault::Configure("", 0).ok());
   ExpectServesExact(store, "i1");
   EXPECT_EQ(store.stats().evictions, 1u);
+}
+
+TEST_F(ModelStoreTest, ModelLargerThanByteBudgetFailsWithoutEvicting) {
+  const std::string dir = ::testing::TempDir() + "/model_store_oversized";
+  MakeTinySnapshotDir(dir, {"i0", "i1"});
+  models::ModelConfig big = testutil::TinyLstmConfig();
+  big.lstm.hidden_units = 64;
+  Rng rng(11);
+  ASSERT_TRUE(models::SaveForecasterSnapshot(
+                  models::CreateForecasterOrDie(big, &rng).get(), big,
+                  dir + "/big.snapshot")
+                  .ok());
+  const int64_t tiny_bytes = static_cast<int64_t>(
+      std::filesystem::file_size(dir + "/i0.snapshot"));
+  ASSERT_GT(static_cast<int64_t>(std::filesystem::file_size(
+                dir + "/big.snapshot")),
+            3 * tiny_bytes);
+  ModelStoreOptions options;
+  options.max_resident_bytes = 3 * tiny_bytes;  // both tiny models fit
+  Result<ModelStore> opened = ModelStore::Open(dir, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ModelStore& store = opened.value();
+  ASSERT_TRUE(store.Get("i0").ok());
+  ASSERT_TRUE(store.Get("i1").ok());
+
+  // The big model cannot fit even in an empty store, so nothing is evicted
+  // to make room for it.
+  Result<ModelHandle> rejected = store.Get("big");
+  EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(rejected.status().message().find(
+                StrCat("max_resident_bytes=", options.max_resident_bytes)),
+            std::string::npos)
+      << rejected.status().message();
+  EXPECT_NE(rejected.status().message().find("estimated"), std::string::npos)
+      << rejected.status().message();
+  EXPECT_EQ(store.stats().evictions, 0u);
+  EXPECT_EQ(store.stats().exhausted, 1u);
+  EXPECT_TRUE(store.resident("i0"));
+  EXPECT_TRUE(store.resident("i1"));
+  EXPECT_EQ(store.stats().resident_models, 2);
+  std::filesystem::remove_all(dir);
+}
+
+// A reference LRU over tenants: which are resident, their recency, their
+// pins. A Get or a release touches its tenant; a miss evicts the least
+// recently touched unpinned tenant while the budget is full.
+struct ReferenceLru {
+  size_t budget = 0;
+  uint64_t tick = 0, cold_loads = 0, evictions = 0, exhausted = 0;
+  std::map<int, uint64_t> last_used;  // resident tenants
+  std::map<int, int> pins;
+
+  bool Get(int tenant) {
+    if (last_used.count(tenant) == 0) {
+      while (last_used.size() + 1 > budget) {
+        auto victim = last_used.end();
+        for (auto it = last_used.begin(); it != last_used.end(); ++it) {
+          if (pins[it->first] == 0 &&
+              (victim == last_used.end() || it->second < victim->second)) {
+            victim = it;
+          }
+        }
+        if (victim == last_used.end()) return ++exhausted, false;
+        last_used.erase(victim);
+        ++evictions;
+      }
+      ++cold_loads;
+    }
+    last_used[tenant] = ++tick;
+    ++pins[tenant];
+    return true;
+  }
+
+  void Release(int tenant) {
+    --pins[tenant];
+    last_used[tenant] = ++tick;
+  }
+};
+
+// 2000 seeded Gets, some holding their handles, over 40 tenants aliasing
+// 20 files with a 5-model budget; after every step the store's residency
+// and counters must equal the reference's.
+TEST_F(ModelStoreTest, LruMatchesReferenceModel) {
+  constexpr int kFiles = 20;
+  constexpr int kTenants = 40;
+  const std::string dir = ::testing::TempDir() + "/model_store_lru_model";
+  std::vector<std::string> files;
+  for (int k = 0; k < kFiles; ++k) files.push_back(StrCat("f", k));
+  MakeTinySnapshotDir(dir, files);
+  std::map<std::string, std::string> manifest;
+  for (int i = 0; i < kTenants; ++i) {
+    manifest.emplace(StrCat("t", i), StrCat("f", i % kFiles, ".snapshot"));
+  }
+  ASSERT_TRUE(WriteManifest(dir, manifest).ok());
+  ModelStoreOptions options;
+  options.max_resident_models = 5;
+  Result<ModelStore> opened = ModelStore::Open(dir, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ModelStore& store = opened.value();
+  ReferenceLru reference;
+  reference.budget = 5;
+  // Held handles with their tenants; up to 5 pins can exhaust the budget.
+  std::vector<std::pair<ModelHandle, int>> held;
+  Rng rng(20261017);
+  for (int step = 0; step < 2000; ++step) {
+    if (!held.empty() && rng.Uniform() < 0.3) {
+      const size_t k = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(held.size()) - 1));
+      reference.Release(held[k].second);
+      held.erase(held.begin() + static_cast<std::ptrdiff_t>(k));
+    }
+    const int tenant = static_cast<int>(rng.UniformInt(0, kTenants - 1));
+    Result<ModelHandle> handle = store.Get(StrCat("t", tenant));
+    const bool admitted = reference.Get(tenant);
+    ASSERT_EQ(handle.ok(), admitted)
+        << "step " << step << ": " << handle.status().ToString();
+    if (admitted) {
+      if (held.size() < 5 && rng.Uniform() < 0.2) {
+        held.emplace_back(std::move(handle).value(), tenant);
+      } else {
+        handle = Result<ModelHandle>(ModelHandle());
+        reference.Release(tenant);
+      }
+    } else {
+      EXPECT_EQ(handle.status().code(), StatusCode::kResourceExhausted);
+    }
+    const ModelStore::Stats stats = store.stats();
+    ASSERT_EQ(stats.cold_loads, reference.cold_loads) << "step " << step;
+    ASSERT_EQ(stats.evictions, reference.evictions) << "step " << step;
+    ASSERT_EQ(stats.exhausted, reference.exhausted) << "step " << step;
+    ASSERT_EQ(stats.resident_models,
+              static_cast<int64_t>(reference.last_used.size()))
+        << "step " << step;
+    for (int t = 0; t < kTenants; ++t) {
+      ASSERT_EQ(store.resident(StrCat("t", t)),
+                reference.last_used.count(t) == 1)
+          << "step " << step << " tenant t" << t;
+    }
+  }
+  EXPECT_GT(reference.evictions, 100u);
+  EXPECT_GT(reference.exhausted, 0u);
+  held.clear();
+  std::filesystem::remove_all(dir);
 }
 
 // 8 threads hammer a 2-model-budget store over 6 ids with interleaved
