@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const int64_t vars = 3, steps = 2;
-  for (const std::string& tenant : {"i01", "i02", "i03"}) {
+  for (const char* tenant : {"i01", "i02", "i03"}) {
     models::ModelConfig config;
     config.family = "LSTM";
     config.num_variables = vars;
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   tensor::Tensor window =
       tensor::Tensor::Uniform(tensor::Shape{1, steps, vars}, -1, 1,
                               &window_rng);
-  for (const std::string& tenant : {"i01", "i02", "i03"}) {
+  for (const char* tenant : {"i01", "i02", "i03"}) {
     Result<tensor::Tensor> forecast = client.Forecast(tenant, window);
     if (!forecast.ok()) {
       std::cerr << tenant << ": " << forecast.status().ToString() << "\n";

@@ -13,24 +13,18 @@
 
 namespace emaf::tensor::internal {
 
-// C += A B on raw row-major buffers; C must be zero-initialized (or hold a
-// partial sum to accumulate into). Defined in ops_matmul.cc.
-void MatMulKernel(const Scalar* a, const Scalar* b, Scalar* c, int64_t m,
-                  int64_t k, int64_t n);
-
-// MatMulKernel parallelized over rows of C on the global ThreadPool.
-// Partitions only at multiples of the kernel's 4-row block, so every row
-// runs the exact serial instruction sequence and the result is bitwise
-// identical to one MatMulKernel call at any thread count. Stays serial
+// C += A B on raw row-major buffers ([m, k] x [k, n]); C must be
+// zero-initialized (or hold a partial sum to accumulate into). Runs the
+// dispatched simd::MatMulF64 / MatMulF32 kernel (tensor/simd.h) on the
+// global ThreadPool: rows split at multiples of the kernel's 4-row block,
+// or, when there are fewer than 2 blocks per thread and more column tiles
+// than blocks, columns split at kernel tiles. Neither partition changes
+// any element's fma chain or zero-skip, so the result is bitwise
+// identical to one serial kernel call at any thread count. Stays serial
 // below a flop threshold (kMatMulParallelMinFlops) where fork/join
 // overhead would dominate. Defined in ops_matmul.cc.
 void ParallelMatMul(const Scalar* a, const Scalar* b, Scalar* c, int64_t m,
                     int64_t k, int64_t n);
-
-// f32 overload: rows of C are fully independent in the f32 kernel
-// (simd_f32.h), so any row partition is bitwise-safe at any thread count.
-// Dispatches to the AVX2/FMA microkernel or its scalar-fmaf fallback per
-// simd::Enabled(); both arms produce identical bytes.
 void ParallelMatMul(const float* a, const float* b, float* c, int64_t m,
                     int64_t k, int64_t n);
 

@@ -74,7 +74,7 @@ Tensor Relu(const Tensor& x) {
     using T = decltype(v);
     return v > T(0) ? v : T(0);
   });
-  if (ph::Active()) ph::Record({ph::OpKind::kRelu, {x}, out});
+  if (ph::Active()) ph::Record(ph::OpKind::kRelu, {x}, out);
   if (ShouldRecord({x})) {
     Tensor xd = x.Detach();
     SetGradFn(&out, "Relu", {x}, [xd](const Tensor& g) {
@@ -99,7 +99,7 @@ Tensor LeakyRelu(const Tensor& x, Scalar negative_slope) {
     return v > T(0) ? v : static_cast<T>(negative_slope) * v;
   });
   if (ph::Active()) {
-    ph::Record({ph::OpKind::kLeakyRelu, {x}, out, negative_slope});
+    ph::Record(ph::OpKind::kLeakyRelu, {x}, out, negative_slope);
   }
   if (ShouldRecord({x})) {
     Tensor xd = x.Detach();
@@ -124,7 +124,7 @@ Tensor Elu(const Tensor& x, Scalar alpha) {
     using T = decltype(v);
     return v > T(0) ? v : static_cast<T>(alpha) * (std::exp(v) - T(1));
   });
-  if (ph::Active()) ph::Record({ph::OpKind::kElu, {x}, out, alpha});
+  if (ph::Active()) ph::Record(ph::OpKind::kElu, {x}, out, alpha);
   if (ShouldRecord({x})) {
     Tensor xd = x.Detach();
     Tensor y = out.Detach();
@@ -157,7 +157,7 @@ Tensor Sigmoid(const Tensor& x) {
     T e = std::exp(v);
     return e / (T(1) + e);
   });
-  if (ph::Active()) ph::Record({ph::OpKind::kSigmoid, {x}, out});
+  if (ph::Active()) ph::Record(ph::OpKind::kSigmoid, {x}, out);
   if (ShouldRecord({x})) {
     Tensor y = out.Detach();
     SetGradFn(&out, "Sigmoid", {x}, [y](const Tensor& g) {
@@ -178,7 +178,7 @@ Tensor Sigmoid(const Tensor& x) {
 
 Tensor Tanh(const Tensor& x) {
   Tensor out = MapUnary(x, [](auto v) { return std::tanh(v); });
-  if (ph::Active()) ph::Record({ph::OpKind::kTanh, {x}, out});
+  if (ph::Active()) ph::Record(ph::OpKind::kTanh, {x}, out);
   if (ShouldRecord({x})) {
     Tensor y = out.Detach();
     SetGradFn(&out, "Tanh", {x}, [y](const Tensor& g) {

@@ -18,7 +18,7 @@ namespace ph = plan_hook;
 
 Tensor Add(const Tensor& a, const Tensor& b) {
   Tensor out = MapBinary(a, b, [](auto x, auto y) { return x + y; });
-  if (ph::Active()) ph::Record({ph::OpKind::kAdd, {a, b}, out});
+  if (ph::Active()) ph::Record(ph::OpKind::kAdd, {a, b}, out);
   if (ShouldRecord({a, b})) {
     Shape sa = a.shape();
     Shape sb = b.shape();
@@ -31,7 +31,7 @@ Tensor Add(const Tensor& a, const Tensor& b) {
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
   Tensor out = MapBinary(a, b, [](auto x, auto y) { return x - y; });
-  if (ph::Active()) ph::Record({ph::OpKind::kSub, {a, b}, out});
+  if (ph::Active()) ph::Record(ph::OpKind::kSub, {a, b}, out);
   if (ShouldRecord({a, b})) {
     Shape sa = a.shape();
     Shape sb = b.shape();
@@ -48,7 +48,7 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
   Tensor out = MapBinary(a, b, [](auto x, auto y) { return x * y; });
-  if (ph::Active()) ph::Record({ph::OpKind::kMul, {a, b}, out});
+  if (ph::Active()) ph::Record(ph::OpKind::kMul, {a, b}, out);
   if (ShouldRecord({a, b})) {
     Tensor ad = a.Detach();
     Tensor bd = b.Detach();
@@ -63,7 +63,7 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
 
 Tensor Div(const Tensor& a, const Tensor& b) {
   Tensor out = MapBinary(a, b, [](auto x, auto y) { return x / y; });
-  if (ph::Active()) ph::Record({ph::OpKind::kDiv, {a, b}, out});
+  if (ph::Active()) ph::Record(ph::OpKind::kDiv, {a, b}, out);
   if (ShouldRecord({a, b})) {
     Tensor ad = a.Detach();
     Tensor bd = b.Detach();
@@ -81,7 +81,7 @@ Tensor Div(const Tensor& a, const Tensor& b) {
 Tensor Maximum(const Tensor& a, const Tensor& b) {
   Tensor out =
       MapBinary(a, b, [](auto x, auto y) { return x > y ? x : y; });
-  if (ph::Active()) ph::Record({ph::OpKind::kMaximum, {a, b}, out});
+  if (ph::Active()) ph::Record(ph::OpKind::kMaximum, {a, b}, out);
   if (ShouldRecord({a, b})) {
     Tensor ad = a.Detach();
     Tensor bd = b.Detach();
@@ -102,7 +102,7 @@ Tensor Maximum(const Tensor& a, const Tensor& b) {
 Tensor Minimum(const Tensor& a, const Tensor& b) {
   Tensor out =
       MapBinary(a, b, [](auto x, auto y) { return x < y ? x : y; });
-  if (ph::Active()) ph::Record({ph::OpKind::kMinimum, {a, b}, out});
+  if (ph::Active()) ph::Record(ph::OpKind::kMinimum, {a, b}, out);
   if (ShouldRecord({a, b})) {
     Tensor ad = a.Detach();
     Tensor bd = b.Detach();
@@ -121,7 +121,7 @@ Tensor Minimum(const Tensor& a, const Tensor& b) {
 
 Tensor Neg(const Tensor& x) {
   Tensor out = MapUnary(x, [](auto v) { return -v; });
-  if (ph::Active()) ph::Record({ph::OpKind::kNeg, {x}, out});
+  if (ph::Active()) ph::Record(ph::OpKind::kNeg, {x}, out);
   if (ShouldRecord({x})) {
     SetGradFn(&out, "Neg", {x}, [](const Tensor& g) {
       NoGradGuard guard;
@@ -133,7 +133,7 @@ Tensor Neg(const Tensor& x) {
 
 Tensor Exp(const Tensor& x) {
   Tensor out = MapUnary(x, [](auto v) { return std::exp(v); });
-  if (ph::Active()) ph::Record({ph::OpKind::kExp, {x}, out});
+  if (ph::Active()) ph::Record(ph::OpKind::kExp, {x}, out);
   if (ShouldRecord({x})) {
     Tensor y = out.Detach();
     SetGradFn(&out, "Exp", {x}, [y](const Tensor& g) {
@@ -146,7 +146,7 @@ Tensor Exp(const Tensor& x) {
 
 Tensor Log(const Tensor& x) {
   Tensor out = MapUnary(x, [](auto v) { return std::log(v); });
-  if (ph::Active()) ph::Record({ph::OpKind::kLog, {x}, out});
+  if (ph::Active()) ph::Record(ph::OpKind::kLog, {x}, out);
   if (ShouldRecord({x})) {
     Tensor xd = x.Detach();
     SetGradFn(&out, "Log", {x}, [xd](const Tensor& g) {
@@ -159,7 +159,7 @@ Tensor Log(const Tensor& x) {
 
 Tensor Sqrt(const Tensor& x) {
   Tensor out = MapUnary(x, [](auto v) { return std::sqrt(v); });
-  if (ph::Active()) ph::Record({ph::OpKind::kSqrt, {x}, out});
+  if (ph::Active()) ph::Record(ph::OpKind::kSqrt, {x}, out);
   if (ShouldRecord({x})) {
     Tensor y = out.Detach();
     SetGradFn(&out, "Sqrt", {x}, [y](const Tensor& g) {
@@ -173,7 +173,7 @@ Tensor Sqrt(const Tensor& x) {
 
 Tensor Abs(const Tensor& x) {
   Tensor out = MapUnary(x, [](auto v) { return std::abs(v); });
-  if (ph::Active()) ph::Record({ph::OpKind::kAbs, {x}, out});
+  if (ph::Active()) ph::Record(ph::OpKind::kAbs, {x}, out);
   if (ShouldRecord({x})) {
     Tensor xd = x.Detach();
     SetGradFn(&out, "Abs", {x}, [xd](const Tensor& g) {
@@ -192,7 +192,7 @@ Tensor Pow(const Tensor& x, Scalar exponent) {
     // double) would silently promote the whole element to double.
     return std::pow(v, static_cast<decltype(v)>(exponent));
   });
-  if (ph::Active()) ph::Record({ph::OpKind::kPow, {x}, out, exponent});
+  if (ph::Active()) ph::Record(ph::OpKind::kPow, {x}, out, exponent);
   if (ShouldRecord({x})) {
     Tensor xd = x.Detach();
     SetGradFn(&out, "Pow", {x}, [xd, exponent](const Tensor& g) {
@@ -213,7 +213,7 @@ Tensor Clamp(const Tensor& x, Scalar low, Scalar high) {
     const T hi = static_cast<T>(high);
     return v < lo ? lo : (v > hi ? hi : v);
   });
-  if (ph::Active()) ph::Record({ph::OpKind::kClamp, {x}, out, low, high});
+  if (ph::Active()) ph::Record({ph::OpKind::kClamp, {x}, out, low, high, {}});
   if (ShouldRecord({x})) {
     Tensor xd = x.Detach();
     SetGradFn(&out, "Clamp", {x}, [xd, low, high](const Tensor& g) {
@@ -230,7 +230,7 @@ Tensor Clamp(const Tensor& x, Scalar low, Scalar high) {
 Tensor AddScalar(const Tensor& x, Scalar s) {
   Tensor out = MapUnary(
       x, [s](auto v) { return v + static_cast<decltype(v)>(s); });
-  if (ph::Active()) ph::Record({ph::OpKind::kAddScalar, {x}, out, s});
+  if (ph::Active()) ph::Record(ph::OpKind::kAddScalar, {x}, out, s);
   if (ShouldRecord({x})) {
     SetGradFn(&out, "AddScalar", {x}, [](const Tensor& g) {
       return std::vector<Tensor>{g.Clone()};
@@ -242,7 +242,7 @@ Tensor AddScalar(const Tensor& x, Scalar s) {
 Tensor MulScalar(const Tensor& x, Scalar s) {
   Tensor out = MapUnary(
       x, [s](auto v) { return v * static_cast<decltype(v)>(s); });
-  if (ph::Active()) ph::Record({ph::OpKind::kMulScalar, {x}, out, s});
+  if (ph::Active()) ph::Record(ph::OpKind::kMulScalar, {x}, out, s);
   if (ShouldRecord({x})) {
     SetGradFn(&out, "MulScalar", {x}, [s](const Tensor& g) {
       NoGradGuard guard;

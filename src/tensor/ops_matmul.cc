@@ -5,98 +5,72 @@
 #include "tensor/op_common.h"
 #include "tensor/ops.h"
 #include "tensor/plan_hook.h"
-#include "tensor/simd_f32.h"
+#include "tensor/simd.h"
 
 namespace emaf::tensor {
 
 namespace internal {
 
-void MatMulKernel(const Scalar* __restrict__ a, const Scalar* __restrict__ b,
-                  Scalar* __restrict__ c, int64_t m, int64_t k, int64_t n) {
-  // Row-blocked i-k-j: four A rows share each loaded B row, the j loop is
-  // contiguous in B and C and auto-vectorizes. C must be zero-initialized
-  // (or hold a partial sum).
-  int64_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const Scalar* a0 = a + i * k;
-    const Scalar* a1 = a0 + k;
-    const Scalar* a2 = a1 + k;
-    const Scalar* a3 = a2 + k;
-    Scalar* c0 = c + i * n;
-    Scalar* c1 = c0 + n;
-    Scalar* c2 = c1 + n;
-    Scalar* c3 = c2 + n;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      Scalar v0 = a0[kk];
-      Scalar v1 = a1[kk];
-      Scalar v2 = a2[kk];
-      Scalar v3 = a3[kk];
-      if (v0 == 0.0 && v1 == 0.0 && v2 == 0.0 && v3 == 0.0) continue;
-      const Scalar* brow = b + kk * n;
-      for (int64_t j = 0; j < n; ++j) {
-        Scalar bj = brow[j];
-        c0[j] += v0 * bj;
-        c1[j] += v1 * bj;
-        c2[j] += v2 * bj;
-        c3[j] += v3 * bj;
-      }
-    }
-  }
-  for (; i < m; ++i) {
-    const Scalar* arow = a + i * k;
-    Scalar* crow = c + i * n;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      Scalar aik = arow[kk];
-      if (aik == 0.0) continue;
-      const Scalar* brow = b + kk * n;
-      for (int64_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-    }
-  }
+namespace {
+
+inline void SerialMatMul(const Scalar* a, const Scalar* b, Scalar* c,
+                         int64_t m, int64_t k, int64_t n, int64_t ld) {
+  simd::MatMulF64(a, b, c, m, k, n, ld);
+}
+inline void SerialMatMul(const float* a, const float* b, float* c, int64_t m,
+                         int64_t k, int64_t n, int64_t ld) {
+  simd::MatMulF32(a, b, c, m, k, n, ld);
 }
 
-void ParallelMatMul(const Scalar* a, const Scalar* b, Scalar* c, int64_t m,
-                    int64_t k, int64_t n) {
+template <typename T>
+void ParallelMatMulT(const T* a, const T* b, T* c, int64_t m, int64_t k,
+                     int64_t n) {
   common::ThreadPool& pool = common::ThreadPool::Global();
-  if (pool.num_threads() <= 1 || m < 8 || m * k * n < kMatMulParallelMinFlops) {
+  const int64_t threads = pool.num_threads();
+  if (threads <= 1 || m * k * n < kMatMulParallelMinFlops) {
     EMAF_METRIC_COUNTER_ADD("matmul.dispatch_serial", 1);
-    MatMulKernel(a, b, c, m, k, n);
+    SerialMatMul(a, b, c, m, k, n, n);
     return;
   }
   EMAF_METRIC_COUNTER_ADD("matmul.dispatch_parallel", 1);
+  const int64_t row_blocks = (m + 3) / 4;
+  const int64_t col_tiles =
+      (n + simd::kMatMulTileCols - 1) / simd::kMatMulTileCols;
+  if (row_blocks < 2 * threads && col_tiles > row_blocks) {
+    // Few, tall-k row blocks (conv weight gradients): split columns, so
+    // each chunk streams only its slab of B. Neither the fma chain nor the
+    // zero-skip predicate depends on columns, so any column partition is
+    // bitwise identical to the serial sweep.
+    const int64_t grain = std::max<int64_t>(1, col_tiles / (threads * 4));
+    pool.ParallelFor(0, col_tiles, grain, [&](int64_t t0, int64_t t1) {
+      const int64_t j0 = t0 * simd::kMatMulTileCols;
+      const int64_t j1 = std::min(t1 * simd::kMatMulTileCols, n);
+      SerialMatMul(a, b + j0, c + j0, m, k, j1 - j0, n);
+    });
+    return;
+  }
   // Chunk in units of the kernel's 4-row block: a chunk starting at a
   // multiple of 4 replays exactly the serial schedule for its rows (the
   // sub-4 remainder, if any, lands in the final chunk just as it does at
   // the end of a serial sweep), so the output is bitwise identical.
-  int64_t num_blocks = (m + 3) / 4;
-  int64_t grain = std::max<int64_t>(
-      1, num_blocks / (pool.num_threads() * 4));
-  pool.ParallelFor(0, num_blocks, grain, [&](int64_t b0, int64_t b1) {
-    int64_t r0 = b0 * 4;
-    int64_t r1 = std::min(b1 * 4, m);
-    MatMulKernel(a + r0 * k, b, c + r0 * n, r1 - r0, k, n);
+  const int64_t grain = std::max<int64_t>(1, row_blocks / (threads * 4));
+  pool.ParallelFor(0, row_blocks, grain, [&](int64_t b0, int64_t b1) {
+    const int64_t r0 = b0 * 4;
+    const int64_t r1 = std::min(b1 * 4, m);
+    SerialMatMul(a + r0 * k, b, c + r0 * n, r1 - r0, k, n, n);
   });
+}
+
+}  // namespace
+
+void ParallelMatMul(const Scalar* a, const Scalar* b, Scalar* c, int64_t m,
+                    int64_t k, int64_t n) {
+  ParallelMatMulT(a, b, c, m, k, n);
 }
 
 void ParallelMatMul(const float* a, const float* b, float* c, int64_t m,
                     int64_t k, int64_t n) {
-  common::ThreadPool& pool = common::ThreadPool::Global();
-  if (pool.num_threads() <= 1 || m < 8 || m * k * n < kMatMulParallelMinFlops) {
-    EMAF_METRIC_COUNTER_ADD("matmul.dispatch_serial", 1);
-    simd::MatMulF32(a, b, c, m, k, n);
-    return;
-  }
-  EMAF_METRIC_COUNTER_ADD("matmul.dispatch_parallel", 1);
-  // Rows of the f32 kernel are fully independent (simd_f32.h: no
-  // zero-skip, no cross-row state), so any row partition is bitwise-safe;
-  // chunk at the kernel's 4-row block so full blocks stay intact.
-  int64_t num_blocks = (m + 3) / 4;
-  int64_t grain = std::max<int64_t>(
-      1, num_blocks / (pool.num_threads() * 4));
-  pool.ParallelFor(0, num_blocks, grain, [&](int64_t b0, int64_t b1) {
-    int64_t r0 = b0 * 4;
-    int64_t r1 = std::min(b1 * 4, m);
-    simd::MatMulF32(a + r0 * k, b, c + r0 * n, r1 - r0, k, n);
-  });
+  ParallelMatMulT(a, b, c, m, k, n);
 }
 
 }  // namespace internal
@@ -107,18 +81,6 @@ namespace {
 Shape BatchShape(const Shape& s) {
   std::vector<int64_t> dims(s.dims().begin(), s.dims().end() - 2);
   return Shape(dims);
-}
-
-// The serial per-batch kernel for each element type: f64 keeps the
-// zero-skipping MatMulKernel verbatim (golden bytes), f32 routes through
-// the dispatched simd kernel.
-inline void SerialKernel(const Scalar* a, const Scalar* b, Scalar* c,
-                         int64_t m, int64_t k, int64_t n) {
-  internal::MatMulKernel(a, b, c, m, k, n);
-}
-inline void SerialKernel(const float* a, const float* b, float* c, int64_t m,
-                         int64_t k, int64_t n) {
-  simd::MatMulF32(a, b, c, m, k, n);
 }
 
 // The dtype-generic compute body of MatMul: out must be zero-initialized
@@ -172,9 +134,9 @@ void MatMulCompute(const Tensor& a, const Tensor& b, Tensor* out, int64_t m,
                   num_batches * m * k * n >= internal::kMatMulParallelMinFlops;
   auto run_batches = [&](int64_t lo, int64_t hi) {
     for (int64_t batch_idx = lo; batch_idx < hi; ++batch_idx) {
-      SerialKernel(ad + a_offsets[static_cast<size_t>(batch_idx)],
-                   bd + b_offsets[static_cast<size_t>(batch_idx)],
-                   od + batch_idx * m * n, m, k, n);
+      internal::SerialMatMul(ad + a_offsets[static_cast<size_t>(batch_idx)],
+                             bd + b_offsets[static_cast<size_t>(batch_idx)],
+                             od + batch_idx * m * n, m, k, n, n);
     }
   };
   if (parallel) {
@@ -216,7 +178,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   }
 
   if (plan_hook::Active()) {
-    plan_hook::Record({plan_hook::OpKind::kMatMul, {a, b}, out});
+    plan_hook::Record(plan_hook::OpKind::kMatMul, {a, b}, out);
   }
   if (ShouldRecord({a, b})) {
     Tensor ad_saved = a.Detach();

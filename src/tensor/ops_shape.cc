@@ -14,37 +14,34 @@ namespace ph = plan_hook;
 
 // Copies x into a tensor of shape `out_shape`, where reading follows
 // `in_strides` (aligned to out_shape axes). Shared by Permute/BroadcastTo.
+// The innermost axis is copied as one (possibly strided) run per outer
+// index; an odometer over the outer axes tracks each run's start.
 template <typename T>
 Tensor StridedCopyT(const Tensor& x, const Shape& out_shape,
                     const std::vector<int64_t>& in_strides) {
   Tensor out = MakeUninitialized(out_shape, x.dtype());
   const std::vector<int64_t>& dims = out_shape.dims();
-  int64_t rank = out_shape.rank();
-  std::vector<int64_t> index(rank, 0);
+  const int64_t rank = out_shape.rank();
   const T* xd = x.data<T>();
   T* od = out.data<T>();
-  int64_t n = out_shape.NumElements();
-  // Fast path: innermost axis is contiguous in the input -> copy rows.
-  if (rank >= 1 && in_strides[rank - 1] == 1 && dims[rank - 1] > 1) {
-    int64_t row = dims[rank - 1];
-    int64_t rows = n / row;
-    int64_t off = 0;
-    for (int64_t r = 0; r < rows; ++r) {
-      std::copy(xd + off, xd + off + row, od + r * row);
-      // Odometer over the outer axes only.
-      for (int64_t axis = rank - 2; axis >= 0; --axis) {
-        off += in_strides[axis];
-        if (++index[axis] < dims[axis]) break;
-        off -= in_strides[axis] * dims[axis];
-        index[axis] = 0;
-      }
-    }
+  if (rank == 0) {
+    od[0] = xd[0];
     return out;
   }
+  const int64_t run = dims[rank - 1];
+  const int64_t step = in_strides[rank - 1];
+  const int64_t runs = run == 0 ? 0 : out_shape.NumElements() / run;
+  std::vector<int64_t> index(rank, 0);
   int64_t off = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    od[i] = xd[off];
-    for (int64_t axis = rank - 1; axis >= 0; --axis) {
+  for (int64_t r = 0; r < runs; ++r) {
+    const T* src = xd + off;
+    T* dst = od + r * run;
+    if (step == 1) {
+      std::copy(src, src + run, dst);
+    } else {
+      for (int64_t j = 0; j < run; ++j) dst[j] = src[j * step];
+    }
+    for (int64_t axis = rank - 2; axis >= 0; --axis) {
       off += in_strides[axis];
       if (++index[axis] < dims[axis]) break;
       off -= in_strides[axis] * dims[axis];

@@ -17,6 +17,7 @@
 #define EMAF_TENSOR_PLAN_HOOK_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -88,6 +89,12 @@ inline bool Active() { return internal::tls_sink != nullptr; }
 
 // Forwards one record to the calling thread's sink (must be Active()).
 void Record(OpRecord record);
+
+// The same, for ops whose only attribute (if any) is s0.
+inline void Record(OpKind kind, std::vector<Tensor> inputs, Tensor output,
+                   Scalar s0 = 0.0) {
+  Record(OpRecord{kind, std::move(inputs), std::move(output), s0, 0.0, {}});
+}
 
 // Installs `sink` as the calling thread's recorder for the scope's
 // lifetime; restores the previous sink (normally none) on exit.

@@ -15,6 +15,8 @@
 // update path runs at 1 thread and still fails if the other thread
 // counts disagree with the refreshed file.
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -105,8 +107,9 @@ std::string RunGridCsv(int64_t threads) {
   }
   common::ThreadPool::SetGlobalNumThreads(1);
 
-  std::string path =
-      std::string(::testing::TempDir()) + "/golden_candidate.csv";
+  // pid-unique: golden_regression_test_nosimd runs beside this suite.
+  std::string path = StrCat(::testing::TempDir(), "/golden_candidate_",
+                            ::getpid(), ".csv");
   EXPECT_TRUE(table.WriteCsv(path).ok());
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.is_open());

@@ -251,7 +251,9 @@ TEST(MtgnnTest, StaticPriorContributesToAdjacency) {
   // Every prior edge appears in the combined graph.
   for (int64_t i = 0; i < kVars; ++i) {
     for (int64_t j = 0; j < kVars; ++j) {
-      if (prior.at(i, j) > 0.0) EXPECT_GT(combined.at(i, j), 0.0);
+      if (prior.at(i, j) > 0.0) {
+        EXPECT_GT(combined.at(i, j), 0.0);
+      }
     }
   }
 }

@@ -9,7 +9,10 @@
 // threaded Get-vs-Publish hammers for tsan, one of them under eviction
 // pressure.
 
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -40,8 +43,24 @@ namespace fs = std::filesystem;
 using serve::ModelHandle;
 using serve::ModelStore;
 
+// Every directory of this process lives under one pid-unique root, so two
+// runs of the suite at once (ctest --repeat beside a full ctest -j) never
+// share files; the root is removed when the suite ends.
+const std::string& ProcessRoot() {
+  static const std::string* root = new std::string(
+      ::testing::TempDir() + "/online_swap_" + std::to_string(::getpid()));
+  return *root;
+}
+
+class RemoveProcessRoot : public ::testing::Environment {
+ public:
+  void TearDown() override { fs::remove_all(ProcessRoot()); }
+};
+[[maybe_unused]] ::testing::Environment* const kRemoveProcessRoot =
+    ::testing::AddGlobalTestEnvironment(new RemoveProcessRoot);
+
 std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/" + name;
+  std::string dir = ProcessRoot() + "/" + name;
   fs::remove_all(dir);
   return dir;
 }
@@ -464,17 +483,35 @@ TEST(HotSwapTest, GetsUnderEvictionDuringPublishServeExactlyOneFile) {
       }
     });
   }
-  for (int round = 0; round < 40; ++round) {
-    const std::string file = round % 2 == 0 ? "/f1.snapshot" : "/f0.snapshot";
-    EXPECT_TRUE(store.Publish("a", dir + file).ok());
+  // Publishing starts once the readers have served (otherwise every round
+  // can finish before a model is even loaded) and goes on, a pair of
+  // rounds at a time so `a` always ends on f0, for at least 40 rounds and
+  // until the readers have evicted something — or the deadline passes,
+  // which fails the eviction expectation below.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  auto before_deadline = [&] {
+    return std::chrono::steady_clock::now() < deadline;
+  };
+  while (served.load() < 64 && wrong.load() == 0 && before_deadline()) {
     std::this_thread::yield();
+  }
+  int rounds = 0;
+  while (rounds < 40 ||
+         (store.stats().evictions == 0 && wrong.load() == 0 &&
+          before_deadline())) {
+    for (const char* file : {"/f1.snapshot", "/f0.snapshot"}) {
+      EXPECT_TRUE(store.Publish("a", dir + file).ok());
+      std::this_thread::yield();
+    }
+    rounds += 2;
   }
   stop.store(true);
   for (std::thread& reader : readers) reader.join();
   EXPECT_EQ(wrong.load(), 0);
   EXPECT_GT(served.load(), 0);
   EXPECT_GT(store.stats().evictions, 0u);
-  EXPECT_EQ(Served(store, "a"), f0);  // 40 rounds end on f0
+  EXPECT_EQ(Served(store, "a"), f0);  // an even number of rounds ends on f0
 
   int64_t resident = 0;
   for (const std::string& id : ids) resident += store.resident(id) ? 1 : 0;

@@ -89,6 +89,16 @@ TEST(ParallelDeterminismTest, MatMulAboveThresholdBitwiseEqual) {
                              "matmul(99x64x64)");
 }
 
+TEST(ParallelDeterminismTest, MatMulColumnSplitBitwiseEqual) {
+  // Fewer 4-row blocks than two per thread: ParallelMatMul splits columns
+  // at kernel tiles instead of rows. The conv weight-gradient shape, and a
+  // single row block.
+  ExpectThreadCountInvisible(
+      [] { return MatMulForwardBackward(16, 2990, 96); }, "matmul(16x2990x96)");
+  ExpectThreadCountInvisible(
+      [] { return MatMulForwardBackward(4, 598, 160); }, "matmul(4x598x160)");
+}
+
 TEST(ParallelDeterminismTest, MatMulBelowThresholdBitwiseEqual) {
   ASSERT_LT(5 * 6 * 7, tensor::internal::kMatMulParallelMinFlops);
   ExpectThreadCountInvisible([] { return MatMulForwardBackward(5, 6, 7); },
@@ -109,23 +119,30 @@ TEST(ParallelDeterminismTest, BatchedMatMulBitwiseEqual) {
   ExpectThreadCountInvisible(fn, "batched matmul(8x32x32x32)");
 }
 
-std::vector<Tensor> ConvForwardBackward(int64_t batch, int64_t cin,
-                                        int64_t hw, int64_t cout,
-                                        int64_t kernel) {
+std::vector<Tensor> ConvForwardBackward(const Shape& input_shape,
+                                        const Shape& weight_shape,
+                                        const tensor::Conv2dOptions& options) {
   Rng rng(777);
-  Tensor input = Tensor::Uniform(Shape{batch, cin, hw, hw}, -1, 1, &rng)
-                     .SetRequiresGrad(true);
+  Tensor input =
+      Tensor::Uniform(input_shape, -1, 1, &rng).SetRequiresGrad(true);
   Tensor weight =
-      Tensor::Uniform(Shape{cout, cin, kernel, kernel}, -1, 1, &rng)
-          .SetRequiresGrad(true);
-  Tensor bias =
-      Tensor::Uniform(Shape{cout}, -1, 1, &rng).SetRequiresGrad(true);
-  tensor::Conv2dOptions options;
-  options.pad_h = 1;
-  options.pad_w = 1;
+      Tensor::Uniform(weight_shape, -1, 1, &rng).SetRequiresGrad(true);
+  Tensor bias = Tensor::Uniform(Shape{weight_shape.dim(0)}, -1, 1, &rng)
+                    .SetRequiresGrad(true);
   Tensor out = Conv2d(input, weight, bias, options);
   Sum(out).Backward();
   return {out, input.grad(), weight.grad(), bias.grad()};
+}
+
+// Square input and kernel, padding 1.
+std::vector<Tensor> ConvForwardBackward(int64_t batch, int64_t cin,
+                                        int64_t hw, int64_t cout,
+                                        int64_t kernel) {
+  tensor::Conv2dOptions options;
+  options.pad_h = 1;
+  options.pad_w = 1;
+  return ConvForwardBackward(Shape{batch, cin, hw, hw},
+                             Shape{cout, cin, kernel, kernel}, options);
 }
 
 TEST(ParallelDeterminismTest, ConvAboveThresholdBitwiseEqual) {
@@ -133,6 +150,21 @@ TEST(ParallelDeterminismTest, ConvAboveThresholdBitwiseEqual) {
   // threshold, and the implied matmul exceeds the flop threshold too.
   ExpectThreadCountInvisible([] { return ConvForwardBackward(8, 4, 16, 8, 3); },
                              "conv(8x4x16x16, 8 filters)");
+}
+
+TEST(ParallelDeterminismTest, ConvAtMtgnnShapeBitwiseEqual) {
+  // MTGNN's temporal convolution: [23, 32, 26, 7] input, 1x3 kernel. Its
+  // weight gradient is a [O, 2990] x [2990, 96] matmul, which at O = 16
+  // has too few row blocks and runs column-split.
+  for (int64_t cout : {16, 32}) {
+    ExpectThreadCountInvisible(
+        [cout] {
+          return ConvForwardBackward(Shape{23, 32, 26, 7},
+                                     Shape{cout, 32, 1, 3},
+                                     tensor::Conv2dOptions{});
+        },
+        "conv(23x32x26x7, " + std::to_string(cout) + " 1x3 filters)");
+  }
 }
 
 TEST(ParallelDeterminismTest, ConvBelowThresholdBitwiseEqual) {

@@ -102,7 +102,7 @@ class ServerTest : public ::testing::Test {
     ASSERT_TRUE(fs::create_directories(*dir_));
 
     std::vector<std::string> ids = AllFamilies();
-    for (const std::string& tenant : {"t0", "t1", "t2", "t3"}) {
+    for (const char* tenant : {"t0", "t1", "t2", "t3"}) {
       ids.push_back(tenant);
     }
     uint64_t seed = 100;

@@ -268,7 +268,9 @@ class ServeSoakTest : public ::testing::Test {
       }
     }
 
-    if (chaos) ASSERT_TRUE(fault::Configure("", 0).ok());
+    if (chaos) {
+      ASSERT_TRUE(fault::Configure("", 0).ok());
+    }
     if (!kill_cycle) {
       // A surviving server must still be coherent: residency is bounded by
       // what the store knows, and a quiesced store is fully evictable (no

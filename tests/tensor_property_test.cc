@@ -11,6 +11,7 @@
 #include "tensor/grad_check.h"
 #include "tensor/op_common.h"
 #include "tensor/ops.h"
+#include "tensor/simd.h"
 
 namespace emaf::tensor {
 namespace {
@@ -208,7 +209,9 @@ TEST_P(SeededPropertyTest, TopKMaskKeepsExactlyKPerSlice) {
       }
     }
     EXPECT_EQ(kept, k);
-    if (k < cols) EXPECT_GE(min_kept, max_dropped);
+    if (k < cols) {
+      EXPECT_GE(min_kept, max_dropped);
+    }
   }
 }
 
@@ -229,7 +232,7 @@ void ExpectBitwiseEqual(const Tensor& a, const Tensor& b) {
 
 TEST_P(SeededPropertyTest, ParallelMatMulMatchesSerialKernelAcrossShapes) {
   // Fuzzed sizes straddle kMatMulParallelMinFlops, so both the serial
-  // fallback and the 4-row-block partition are exercised; either way the
+  // fallback and the row/column partitions are exercised; either way the
   // 8-thread result must be bitwise the serial kernel's.
   Rng rng(11000 + GetParam());
   int64_t m = rng.UniformInt(1, 128);
@@ -238,7 +241,7 @@ TEST_P(SeededPropertyTest, ParallelMatMulMatchesSerialKernelAcrossShapes) {
   Tensor a = Tensor::Uniform(Shape{m, k}, -2, 2, &rng);
   Tensor b = Tensor::Uniform(Shape{k, n}, -2, 2, &rng);
   Tensor reference = Tensor::Zeros(Shape{m, n});
-  internal::MatMulKernel(a.data(), b.data(), reference.data(), m, k, n);
+  simd::MatMulF64(a.data(), b.data(), reference.data(), m, k, n, n);
   ScopedThreads threads(8);
   ExpectBitwiseEqual(MatMul(a, b), reference);
 }
@@ -253,8 +256,8 @@ TEST_P(SeededPropertyTest, ParallelBatchedMatMulMatchesSerialKernel) {
   Tensor b = Tensor::Uniform(Shape{batch, k, n}, -2, 2, &rng);
   Tensor reference = Tensor::Zeros(Shape{batch, m, n});
   for (int64_t i = 0; i < batch; ++i) {
-    internal::MatMulKernel(a.data() + i * m * k, b.data() + i * k * n,
-                           reference.data() + i * m * n, m, k, n);
+    simd::MatMulF64(a.data() + i * m * k, b.data() + i * k * n,
+                    reference.data() + i * m * n, m, k, n, n);
   }
   ScopedThreads threads(8);
   ExpectBitwiseEqual(MatMul(a, b), reference);
