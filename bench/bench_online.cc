@@ -51,6 +51,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "common/env.h"
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -525,20 +526,14 @@ int Run(bool smoke) {
   fs::remove_all(root);
   const std::string json =
       ToJson(scale, runs[0], swap.value(), deterministic);
-  std::cout << "\n[json] " << json << "\n";
-  const std::string out_dir = GetEnvString("EMAF_BENCH_JSON_DIR", ".");
-  const std::string path = out_dir + "/BENCH_online.json";
-  if (out_dir != "-") {
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "cannot write " << path << "\n";
-      return 1;
-    }
-    out << json << "\n";
+  const Result<std::string> path = WriteBenchJson("online", json);
+  if (!path.ok()) {
+    std::cerr << path.status().message() << "\n";
+    return 1;
   }
 
   if (smoke) {
-    if (out_dir == "-" || !ValidateSchema(path)) return 1;
+    if (path.value().empty() || !ValidateSchema(path.value())) return 1;
     if (!deterministic) {
       std::cerr << "[smoke] MSE rows differ across thread counts\n";
       return 1;

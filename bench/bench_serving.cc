@@ -47,6 +47,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "common/env.h"
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -456,20 +457,14 @@ int Run(bool smoke) {
   std::filesystem::remove_all(dir);
 
   const std::string json = ToJson(scale, points);
-  std::cout << "\n[json] " << json << "\n";
-  std::string out_dir = GetEnvString("EMAF_BENCH_JSON_DIR", ".");
-  std::string path = out_dir + "/BENCH_serving.json";
-  if (out_dir != "-") {
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "cannot write " << path << "\n";
-      return 1;
-    }
-    out << json << "\n";
+  const Result<std::string> path = WriteBenchJson("serving", json);
+  if (!path.ok()) {
+    std::cerr << path.status().message() << "\n";
+    return 1;
   }
 
   if (smoke) {
-    if (out_dir == "-" || !ValidateSchema(path)) return 1;
+    if (path.value().empty() || !ValidateSchema(path.value())) return 1;
     // Accounting must close: every sent request was answered or counted,
     // and goodput can never exceed the ok replies it is carved from.
     for (const PointResult& p : points) {

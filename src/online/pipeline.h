@@ -58,8 +58,8 @@ class OnlinePipeline {
  public:
   // Borrows all four collaborators; they must outlive the pipeline. The
   // publisher's directory is typically the store's snapshot directory, so
-  // ReloadManifest on a different process of the same directory converges
-  // to the same mapping this pipeline pushes into `store` directly.
+  // a store opened later on the same directory (its MANIFEST) serves the
+  // same mapping this pipeline pushes into `store` with Publish.
   OnlinePipeline(ObservationLog* log, SnapshotPublisher* publisher,
                  serve::ModelStore* store, OnlinePipelineOptions options);
 

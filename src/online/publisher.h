@@ -7,9 +7,9 @@
 // sibling first and is renamed into place, so a crash mid-publish leaves
 // either the complete new file or nothing; the previous version is intact
 // either way. After the file lands, the directory's MANIFEST is rewritten
-// the same way (tmp + rename) to map the id to its newest version, which
-// is what lets a serving process pick the swap up via
-// ModelStore::ReloadManifest without restart.
+// the same way (tmp + rename) to map the id to its newest version, so a
+// store opened on the directory later serves it; a running store picks
+// the swap up through ModelStore::Publish with the returned path.
 //
 // Version monotonicity is an invariant, not a convention: Open() scans
 // both the MANIFEST and every `<id>.v<N>.snapshot` file already in the

@@ -27,9 +27,8 @@ namespace internal {
 
 struct StoreEntry {
   std::string id;
-  // path, file_bytes and resident_bytes are rewritten by Publish and
-  // Invalidate, so they are read and written under the owning shard's
-  // mutex only.
+  // path, file_bytes and resident_bytes are rewritten by Publish, so
+  // they are read and written under the owning shard's mutex only.
   std::string path;
   int64_t file_bytes = 0;
   // Actual in-memory parameter bytes of the loaded model (reflecting the
@@ -45,11 +44,11 @@ struct StoreEntry {
   std::shared_ptr<models::Forecaster> model;
   std::shared_ptr<plan::PlanCache> plans;
   bool loading = false;
-  // Bumped by Publish/Invalidate under the shard lock. A cold load
-  // captures the value when it claims `loading` and installs nothing on
-  // mismatch: its own request is still served the bytes it loaded, but a
-  // superseded residency never enters the store — so post-swap Gets can
-  // only ever see the new snapshot.
+  // Bumped by Publish under the shard lock. A cold load captures the
+  // value when it claims `loading` and installs nothing on mismatch: its
+  // own request is still served the bytes it loaded, but a superseded
+  // residency never enters the store — so post-swap Gets can only ever
+  // see the new snapshot.
   uint64_t generation = 0;
 
   // Lock-free: pins are released and recency stamped without the shard
@@ -141,7 +140,6 @@ struct ModelStore::Impl {
   };
 
   ModelStoreOptions options;
-  std::string snapshot_dir;
   // Sorted; guarded by ids_mu — Publish can register new tenants after
   // Open, so readers can no longer treat the vector as immutable.
   mutable std::mutex ids_mu;
@@ -159,7 +157,6 @@ struct ModelStore::Impl {
   std::atomic<uint64_t> load_failures{0};
   std::atomic<uint64_t> exhausted{0};
   std::atomic<uint64_t> swaps{0};
-  std::atomic<uint64_t> invalidations{0};
   std::atomic<uint64_t> max_published{0};
 
   Shard& ShardFor(const std::string& id) {
@@ -465,7 +462,6 @@ Result<ModelStore> ModelStore::Open(const std::string& snapshot_dir,
   ModelStore store;
   Impl& impl = *store.impl_;
   impl.options = options;
-  impl.snapshot_dir = snapshot_dir;
   impl.shards.reserve(kNumShards);
   for (size_t i = 0; i < kNumShards; ++i) {
     impl.shards.push_back(std::make_unique<Impl::Shard>());
@@ -519,8 +515,8 @@ Result<ModelHandle> ModelStore::Get(const std::string& id) {
   std::shared_ptr<StoreEntry> entry;
   uint64_t load_generation = 0;
   // What the cold load reads of the entry, copied under the shard lock:
-  // Publish and Invalidate rewrite those fields under that lock while the
-  // load runs without it.
+  // Publish rewrites those fields under that lock while the load runs
+  // without it.
   std::string path;
   int64_t admission_bytes = 0;
   {
@@ -622,10 +618,10 @@ Result<ModelHandle> ModelStore::Get(const std::string& id) {
       shard.resident.insert(entry);
       installed = true;
     }
-    // On a generation mismatch a Publish/Invalidate landed while the disk
-    // load ran: the bytes just loaded are already superseded, so they are
-    // handed only to this request (the handle below co-owns them) and the
-    // store stays empty for the id — the next Get cold-loads the new path.
+    // On a generation mismatch a Publish landed while the disk load ran:
+    // the bytes just loaded are already superseded, so they are handed
+    // only to this request (the handle below co-owns them) and the store
+    // stays empty for the id — the next Get cold-loads the new path.
     entry->pins.fetch_add(1, std::memory_order_relaxed);
     entry->last_used.store(impl_->NextTick(), std::memory_order_relaxed);
   }
@@ -722,61 +718,6 @@ Status ModelStore::Publish(const std::string& id, const std::string& path,
   return Status::Ok();
 }
 
-bool ModelStore::Invalidate(const std::string& id) {
-  Impl::Shard& shard = impl_->ShardFor(id);
-  bool dropped = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(id);
-    if (it == shard.entries.end()) return false;
-    StoreEntry& entry = *it->second;
-    // Unconditional: a cold load in flight may already hold bytes read
-    // before whatever prompted the invalidation (e.g. an in-place snapshot
-    // rewrite), so it must not install either.
-    ++entry.generation;
-    // The snapshot file may have been rewritten to a different size; both
-    // cached figures are re-derived on the next load.
-    std::error_code ec;
-    uintmax_t bytes = std::filesystem::file_size(entry.path, ec);
-    if (!ec) entry.file_bytes = static_cast<int64_t>(bytes);
-    if (entry.model != nullptr) {
-      impl_->DropResident(shard, it->second);
-      entry.resident_bytes = 0;
-      dropped = true;
-    }
-  }
-  if (dropped) {
-    impl_->invalidations.fetch_add(1, std::memory_order_relaxed);
-    EMAF_METRIC_COUNTER_ADD("serve.store.invalidations_total", 1);
-    impl_->UpdateGauges();
-  }
-  return dropped;
-}
-
-Status ModelStore::ReloadManifest() {
-  // Parse and validate the whole rewrite before touching any state: a
-  // malformed line rejects the reload and the old mapping keeps serving.
-  Result<std::vector<std::pair<std::string, std::string>>> manifest =
-      ReadManifest(impl_->snapshot_dir);
-  if (!manifest.ok()) return manifest.status();
-  std::vector<std::pair<std::string, std::string>>& listed = manifest.value();
-  std::sort(listed.begin(), listed.end());
-  for (auto& [id, path] : listed) {
-    path = (std::filesystem::path(impl_->snapshot_dir) / path).string();
-    bool changed = true;
-    {
-      Impl::Shard& shard = impl_->ShardFor(id);
-      std::lock_guard<std::mutex> lock(shard.mu);
-      auto it = shard.entries.find(id);
-      if (it != shard.entries.end() && it->second->path == path) {
-        changed = false;  // unchanged mapping: leave the residency alone
-      }
-    }
-    if (changed) EMAF_RETURN_IF_ERROR(Publish(id, path));
-  }
-  return Status::Ok();
-}
-
 Result<std::string> ModelStore::snapshot_path(const std::string& id) const {
   Impl::Shard& shard = impl_->ShardFor(id);
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -800,7 +741,6 @@ ModelStore::Stats ModelStore::stats() const {
   stats.load_failures = impl_->load_failures.load(std::memory_order_relaxed);
   stats.exhausted = impl_->exhausted.load(std::memory_order_relaxed);
   stats.swaps = impl_->swaps.load(std::memory_order_relaxed);
-  stats.invalidations = impl_->invalidations.load(std::memory_order_relaxed);
   stats.max_published_version =
       impl_->max_published.load(std::memory_order_relaxed);
   stats.resident_models =

@@ -38,15 +38,14 @@
 // model), the next Get cold-loads the new file, and the store's reference
 // to the stale copy — including its PlanCache, in the same critical
 // section as the eviction path — is dropped at publish time, so no
-// request is ever dropped or served a mix of versions. Invalidate(id) is
-// the path-preserving flavor: drop the resident copy so the next Get
-// re-reads whatever bytes now live at the same path. ReloadManifest()
-// re-reads MANIFEST and applies it as adds + publishes; a malformed
-// rewrite is rejected whole, the old mapping keeps serving.
+// request is ever dropped or served a mix of versions. Publish is the one
+// way to retarget a tenant: Publish(id, *snapshot_path(id)) re-reads a
+// snapshot rewritten in place, and an id the store does not know yet is
+// added.
 //
 // Instrumentation: serve.store.resident_models / resident_bytes (gauges),
 // serve.store.cold_loads_total / evictions_total / load_failures_total /
-// exhausted_total / swaps_total / invalidations_total (counters),
+// exhausted_total / swaps_total (counters),
 // serve.store.hit_rate / published_version (gauges), and the cold/warm
 // latency split as serve.store.cold_load_seconds / warm_acquire_seconds
 // histograms. Fault sites: serve.store.load/<id> fails one cold load
@@ -221,23 +220,6 @@ class ModelStore {
   Status Publish(const std::string& id, const std::string& path,
                  uint64_t version = 0);
 
-  // Drops the resident copy of `id` (if any) without changing its path,
-  // so the next Get() re-reads the snapshot file — the explicit form of
-  // what LRU eviction previously did only incidentally when a snapshot
-  // file was overwritten in place. In-flight handles keep serving the old
-  // bytes; a cold load in flight installs nothing. Returns true when a
-  // resident copy was dropped.
-  bool Invalidate(const std::string& id);
-
-  // Re-reads `snapshot_dir/MANIFEST` and applies it: new ids are added,
-  // ids whose path changed are Publish()ed (versions derived from
-  // `.v<N>` filename components). Ids missing from the rewritten file
-  // keep serving their current snapshot — the manifest only ever grows
-  // the mapping. A malformed or unreadable rewrite is rejected whole
-  // (kInvalidArgument / kNotFound naming the problem) with no state
-  // changed: the old mapping keeps serving.
-  Status ReloadManifest();
-
   // Path of the snapshot file currently serving `id` (kNotFound for an
   // unknown id). The online fine-tune pipeline warm-starts from this.
   Result<std::string> snapshot_path(const std::string& id) const;
@@ -254,7 +236,6 @@ class ModelStore {
     uint64_t load_failures = 0;  // cold loads that errored (incl. faults)
     uint64_t exhausted = 0;      // Get() rejections with kResourceExhausted
     uint64_t swaps = 0;          // Publish() calls that landed
-    uint64_t invalidations = 0;  // Invalidate() calls that dropped a copy
     uint64_t max_published_version = 0;  // watermark (0 = nothing published)
     int64_t resident_models = 0;
     // In-memory parameter bytes of resident models (per load_dtype), not

@@ -269,7 +269,11 @@ Result<tensor::Tensor> DecodeTensorPayload(std::string_view payload) {
                " doubles = ", 8 * numel, " bytes)"));
   }
   std::vector<double> values(numel);
-  std::memcpy(values.data(), payload.data() + data_offset, data_bytes);
+  // An empty vector's data() may be null, and memcpy from or to null is
+  // undefined even for zero bytes (a B = 0 window decodes to no values).
+  if (data_bytes != 0) {
+    std::memcpy(values.data(), payload.data() + data_offset, data_bytes);
+  }
   return tensor::Tensor::FromVector(tensor::Shape(std::move(dims)),
                                     std::move(values));
 }

@@ -32,6 +32,10 @@ namespace emaf::serve {
 
 namespace {
 
+// epoll_wait timeout: the pacing of batch-aging Pump() turns when no
+// socket activity wakes the loop earlier.
+constexpr int kPollTimeoutMs = 1;
+
 Status Errno(const char* what) {
   return Status::Internal(StrCat(what, ": ", std::strerror(errno)));
 }
@@ -542,8 +546,7 @@ struct Server::Impl {
       if (drain_requested.load(std::memory_order_acquire) && !draining()) {
         EnterDrain();
       }
-      int n = epoll_wait(epoll_fd, events, 64,
-                         static_cast<int>(options.poll_timeout_ms));
+      int n = epoll_wait(epoll_fd, events, 64, kPollTimeoutMs);
       if (n < 0 && errno != EINTR) break;
       for (int i = 0; i < n; ++i) {
         const uint64_t id = events[i].data.u64;

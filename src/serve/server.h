@@ -82,13 +82,11 @@ struct ServerOptions {
   // Admission bound and micro-batch shape for the RequestScheduler. The
   // default max_queue=256 is the backpressure door.
   SchedulerOptions scheduler;
-  // epoll_wait timeout: the pacing of batch-aging Pump() turns when no
-  // socket activity wakes the loop earlier.
-  int64_t poll_timeout_ms = 1;
   // Drain bound: once every admitted request has finished, the drain
   // lingers at most this many loop turns waiting for peers to accept
-  // their buffered replies (the best-effort flush). A peer that never
-  // reads cannot stall shutdown beyond poll_timeout_ms * this.
+  // their buffered replies (the best-effort flush). A loop turn waits at
+  // most the server's 1 ms epoll timeout, so a peer that never reads
+  // cannot stall shutdown beyond about this many milliseconds.
   int64_t drain_linger_turns = 2000;
   // Directory for the per-tenant streaming observation journals
   // (online/observation_log.h), enabling kAppend frames. Empty (the

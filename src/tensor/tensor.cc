@@ -82,7 +82,9 @@ Tensor Tensor::FromVector(const Shape& shape, std::vector<Scalar> values) {
   impl->shape = shape;
   const size_t bytes = values.size() * sizeof(Scalar);
   impl->storage = std::make_shared<std::vector<std::byte>>(bytes);
-  std::memcpy(impl->storage->data(), values.data(), bytes);
+  // Both data() pointers may be null for zero elements, where memcpy is
+  // undefined even with a zero length.
+  if (bytes != 0) std::memcpy(impl->storage->data(), values.data(), bytes);
   return Tensor(std::move(impl));
 }
 

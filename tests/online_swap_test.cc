@@ -1,9 +1,9 @@
 // Hot-swap suite (ctest labels: online, fast, fault, tsan). Pins the
-// ModelStore::Publish/Invalidate/ReloadManifest contracts — retargeting
-// serves the new file's exact bytes, in-flight handles finish on the old
+// ModelStore::Publish contracts — retargeting serves the new file's exact
+// bytes (a rewrite in place too), in-flight handles finish on the old
 // version, the resident-byte accounting survives a swap without leaking,
-// the version watermark is monotonic (filename-derived or explicit), a
-// malformed MANIFEST rewrite is rejected whole — the publish fault site
+// the version watermark is monotonic (filename-derived or explicit) — the
+// publish fault site
 // (old version keeps serving), the full OnlinePipeline loop (append ->
 // fine-tune -> publish -> swap == cold engine on the new snapshot), and
 // threaded Get-vs-Publish hammers for tsan, one of them under eviction
@@ -195,59 +195,19 @@ TEST(HotSwapTest, VersionWatermarkIsMonotonic) {
   EXPECT_EQ(store.stats().max_published_version, 9u);
 }
 
-TEST(HotSwapTest, InvalidateDropsResidencyOnly) {
-  const std::string dir = FreshDir("swap_invalidate");
+// Publish is the one way to retarget a tenant, including onto the file it
+// already serves: a snapshot rewritten in place is re-read on the next Get.
+TEST(HotSwapTest, PublishOfTheSamePathRereadsARewrittenFile) {
+  const std::string dir = FreshDir("swap_same_path");
   auto expected = serve::testutil::MakeTinySnapshotDir(dir, {"i1"});
   Result<ModelStore> opened = ModelStore::Open(dir);
   ASSERT_TRUE(opened.ok());
   ModelStore& store = opened.value();
-  EXPECT_FALSE(store.Invalidate("i1"));  // nothing resident yet
-  EXPECT_FALSE(store.Invalidate("ghost"));
-  Served(store, "i1");
-  ASSERT_TRUE(store.resident("i1"));
-  EXPECT_TRUE(store.Invalidate("i1"));
-  EXPECT_FALSE(store.resident("i1"));
-  EXPECT_EQ(store.stats().invalidations, 1u);
-  // Overwrite the file in place: the next Get must re-read it.
+  EXPECT_EQ(Served(store, "i1"), expected["i1"]);
   const std::vector<double> fresh = SaveDistinctSnapshot(dir, "i1.snapshot", 5);
-  EXPECT_TRUE(store.Invalidate("i1") || !store.resident("i1"));
-  EXPECT_EQ(Served(store, "i1"), fresh);
-  EXPECT_NE(fresh, expected["i1"]);
-}
-
-TEST(HotSwapTest, ReloadManifestGrowsAndRejectsMalformedWhole) {
-  const std::string dir = FreshDir("swap_manifest");
-  auto expected = serve::testutil::MakeTinySnapshotDir(dir, {"i1", "i2"});
-  const std::vector<double> fresh =
-      SaveDistinctSnapshot(dir, "i1.v2.snapshot", 4242);
-
-  Result<ModelStore> opened = ModelStore::Open(dir);
-  ASSERT_TRUE(opened.ok());
-  ModelStore& store = opened.value();
-  // No MANIFEST on disk yet.
-  EXPECT_EQ(store.ReloadManifest().code(), StatusCode::kNotFound);
-
-  // Rewrite 1: alias a new tenant onto i2's file and bump i1 to v2.
-  std::ofstream(dir + "/MANIFEST")
-      << "# rewritten\n"
-      << "i1\ti1.v2.snapshot\n"
-      << "i2\ti2.snapshot\n"
-      << "i3\ti2.snapshot\n";
-  ASSERT_TRUE(store.ReloadManifest().ok());
-  EXPECT_EQ(Served(store, "i1"), fresh);
-  EXPECT_EQ(Served(store, "i3"), expected["i2"]);
-  EXPECT_EQ(store.max_published_version(), 2u);
-
-  // Rewrite 2: malformed (missing file) — rejected whole, nothing moves.
-  std::ofstream(dir + "/MANIFEST") << "i1\tmissing.snapshot\n";
-  Status rejected = store.ReloadManifest();
-  EXPECT_EQ(rejected.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(Served(store, "i1"), fresh);
-  EXPECT_EQ(store.snapshot_path("i1").value(), dir + "/i1.v2.snapshot");
-
-  // Ids missing from a rewrite keep serving (the mapping only grows).
-  std::ofstream(dir + "/MANIFEST") << "i2\ti2.snapshot\n";
-  ASSERT_TRUE(store.ReloadManifest().ok());
+  ASSERT_NE(fresh, expected["i1"]);
+  ASSERT_TRUE(store.Publish("i1", store.snapshot_path("i1").value()).ok());
+  EXPECT_FALSE(store.resident("i1"));
   EXPECT_EQ(Served(store, "i1"), fresh);
 }
 

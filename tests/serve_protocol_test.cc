@@ -106,6 +106,19 @@ TEST(ProtocolTest, TensorPayloadRoundTripsBitwise) {
   }
 }
 
+// A B = 0 window carries a shape and no values: it round-trips to an empty
+// tensor of the same shape (the decoder copies nothing into the empty
+// vector, whose data() may be null).
+TEST(ProtocolTest, ZeroElementTensorPayloadRoundTrips) {
+  Tensor empty = Tensor::Zeros(Shape{0, 5, 3});
+  std::string payload = EncodeTensorPayload(empty);
+  EXPECT_EQ(payload.size(), 4u + 3u * 4u);
+  Result<Tensor> decoded = DecodeTensorPayload(payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().shape().dims(), empty.shape().dims());
+  EXPECT_EQ(decoded.value().NumElements(), 0);
+}
+
 // The payload itself, not any frame ceiling, bounds the announced shape:
 // a tensor larger than kDefaultMaxFrameBytes still decodes when handed to
 // the codec directly, so a transport configured with a larger frame
