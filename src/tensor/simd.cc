@@ -1,6 +1,6 @@
-// Matmul kernel arms. Compiled with -ffp-contract=off (src/CMakeLists.txt)
-// so every FMA below is one we wrote explicitly; see simd.h for the
-// bitwise SIMD-vs-scalar contract each pair of arms upholds.
+// Matmul kernel arms. The emaf target builds with -ffp-contract=off
+// (src/CMakeLists.txt), so every FMA below is one we wrote explicitly; see
+// simd.h for the bitwise SIMD-vs-scalar contract each pair of arms upholds.
 
 #include "tensor/simd.h"
 

@@ -9,12 +9,12 @@
 // arms use std::fmaf/std::fma (one FMA either way). That is the contract
 // bitwise determinism across thread counts AND dispatch arms rests on.
 //
-// The implementation lives in its own TU (simd.cc) compiled with
-// -ffp-contract=off, pinned in src/CMakeLists.txt, so the compiler cannot
-// contract neighboring mul/add expressions into FMAs we did not write.
-// The explicit std::fma calls are unaffected: contraction settings only
-// govern *implicit* contraction. The AVX2 arms carry their own
-// target("avx2,fma") attribute, so the TU also builds without -march.
+// The emaf target builds with -ffp-contract=off (src/CMakeLists.txt), so
+// the compiler cannot contract neighboring mul/add expressions into FMAs
+// we did not write. The explicit std::fma calls are unaffected:
+// contraction settings only govern *implicit* contraction. The AVX2 arms
+// carry their own target("avx2,fma") attribute, so simd.cc also builds
+// without -march.
 
 #ifndef EMAF_TENSOR_SIMD_H_
 #define EMAF_TENSOR_SIMD_H_

@@ -1,4 +1,6 @@
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -142,6 +144,22 @@ TEST(ClipGradNormTest, LeavesSmallGradientsAlone) {
   double norm = ClipGradNorm({&x}, 1.0);
   EXPECT_NEAR(norm, 0.5, 1e-12);
   EXPECT_NEAR(x.grad().At({0}), 0.3, 1e-12);
+}
+
+std::string HexFloat(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+// Each square is rounded before it is added: a contracted
+// fma(g1, g1, g0 * g0) would give 0x1.0104e6083468fp+1 here.
+TEST(GlobalGradNormTest, RoundsEachSquareBeforeAdding) {
+  Tensor x = Tensor::FromVector(Shape{2}, {0.0, 0.0}).SetRequiresGrad(true);
+  Tensor w = Tensor::FromVector(Shape{2}, {0x1.e17ap-1, 0x1.c62e591p+0});
+  tensor::Sum(tensor::Mul(x, w)).Backward();  // grad = w exactly
+  EXPECT_EQ(HexFloat(GlobalGradNorm({&x})), "0x1.0104e6083468ep+1");
+  EXPECT_EQ(HexFloat(ClipGradNorm({&x}, 10.0)), "0x1.0104e6083468ep+1");
 }
 
 TEST(OptimizerDeathTest, RejectsNonGradParameters) {
