@@ -97,17 +97,7 @@ double GlobalGradNorm(const std::vector<Tensor*>& parameters) {
 
 double ClipGradNorm(const std::vector<Tensor*>& parameters, double max_norm) {
   EMAF_CHECK_GT(max_norm, 0.0);
-  // Self-contained norm loop (not a GlobalGradNorm call): FMA contraction
-  // of the reduction depends on the inlining context, and an ulp of norm
-  // drift changes the clip scale — the golden CSV pins these bytes.
-  double total = 0.0;
-  for (Tensor* p : parameters) {
-    Tensor grad = p->grad();
-    if (!grad.defined()) continue;
-    const Scalar* g = grad.data();
-    for (int64_t j = 0; j < grad.NumElements(); ++j) total += g[j] * g[j];
-  }
-  double norm = std::sqrt(total);
+  double norm = GlobalGradNorm(parameters);
   if (norm > max_norm) {
     double scale = max_norm / (norm + 1e-12);
     for (Tensor* p : parameters) {
