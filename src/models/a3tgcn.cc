@@ -48,8 +48,7 @@ Tensor A3tgcn::TgcnStep(const Tensor& x_t, const Tensor& h) {
 Tensor A3tgcn::Forward(const Tensor& window) {
   CheckWindow(window);
   int64_t batch = window.dim(0);
-  Tensor h = Tensor::Zeros(Shape{batch, num_variables_, hidden_},
-                           window.dtype());
+  Tensor h = Tensor::Zeros(Shape{batch, num_variables_, hidden_});
   std::vector<Tensor> hidden_states;
   hidden_states.reserve(static_cast<size_t>(input_length_));
   for (int64_t t = 0; t < input_length_; ++t) {

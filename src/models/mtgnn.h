@@ -104,11 +104,6 @@ class EdgeLogitGraphLearner : public GraphLearnerBase {
 
   Tensor Forward() override;
 
- protected:
-  void CastBuffersTo(tensor::DType dtype) override {
-    off_diagonal_mask_ = off_diagonal_mask_.CastTo(dtype);
-  }
-
  private:
   int64_t num_nodes_;
   int64_t top_k_;
@@ -131,14 +126,6 @@ class Mtgnn : public Forecaster {
   // The adjacency currently used by the model (learned + prior), evaluated
   // without gradients. This is what Experiment C feeds to the other GNNs.
   graph::AdjacencyMatrix CurrentAdjacency();
-
- protected:
-  void CastBuffersTo(tensor::DType dtype) override {
-    if (static_adjacency_.defined()) {
-      static_adjacency_ = static_adjacency_.CastTo(dtype);
-    }
-    identity_ = identity_.CastTo(dtype);
-  }
 
  private:
   class InceptionConv;

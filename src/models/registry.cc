@@ -306,18 +306,6 @@ Result<std::unique_ptr<Forecaster>> LoadForecasterSnapshot(
   return model;
 }
 
-Result<std::unique_ptr<Forecaster>> LoadForecasterSnapshot(
-    const std::string& path, Rng* rng, tensor::DType dtype) {
-  Result<std::unique_ptr<Forecaster>> model = LoadForecasterSnapshot(path, rng);
-  if (!model.ok()) return model.status();
-  // Cast after the load: the snapshot payload fills the f64 module built
-  // by the registry, then the whole tree (parameters and baked buffers)
-  // converts once. A kF64 request is a no-op — CastTo shares storage when
-  // the dtype already matches.
-  if (model.value()->dtype() != dtype) model.value()->CastTo(dtype);
-  return model;
-}
-
 Status LoadForecasterInto(Forecaster* model, const ModelConfig& expected,
                           const std::string& path) {
   EMAF_CHECK(model != nullptr);

@@ -66,17 +66,13 @@ std::unique_ptr<Forecaster> CreateForecasterOrDie(const ModelConfig& config,
 //   SaveForecasterSnapshot embeds the serialized config in the snapshot;
 //   LoadForecasterSnapshot rebuilds the model from the embedded config and
 //     restores its parameters (`rng` only seeds construction — every
-//     weight is overwritten by the load); the `dtype` overload then casts
-//     the whole module tree, so training snapshots stay f64 on disk while
-//     a serving process cold-loads f32 residents;
+//     weight is overwritten by the load);
 //   LoadForecasterInto loads into an existing model and rejects a snapshot
 //     whose embedded config does not match `expected` exactly.
 Status SaveForecasterSnapshot(Forecaster* model, const ModelConfig& config,
                               const std::string& path);
 Result<std::unique_ptr<Forecaster>> LoadForecasterSnapshot(
     const std::string& path, Rng* rng);
-Result<std::unique_ptr<Forecaster>> LoadForecasterSnapshot(
-    const std::string& path, Rng* rng, tensor::DType dtype);
 Status LoadForecasterInto(Forecaster* model, const ModelConfig& expected,
                           const std::string& path);
 

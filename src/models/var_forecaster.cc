@@ -119,8 +119,8 @@ Tensor VarForecaster::Forward(const Tensor& window) {
   // tensor ops so the whole forward is visible to plan recording
   // (tensor/plan_hook.h).
   Tensor lags = tensor::Reshape(window, Shape{batch, features - 1});
-  Tensor design = tensor::Cat(
-      {lags, Tensor::Ones(Shape{batch, 1}, window.dtype())}, /*dim=*/1);
+  Tensor design =
+      tensor::Cat({lags, Tensor::Ones(Shape{batch, 1})}, /*dim=*/1);
   return tensor::MatMul(design, *coefficients_);
 }
 

@@ -27,11 +27,6 @@ class GcnConv : public Module {
 
   int64_t num_nodes() const { return a_hat_.dim(0); }
 
- protected:
-  void CastBuffersTo(tensor::DType dtype) override {
-    a_hat_ = a_hat_.CastTo(dtype);
-  }
-
  private:
   Tensor a_hat_;  // [V, V], constant
   int64_t in_features_;
@@ -55,11 +50,6 @@ class ChebConv : public Module {
   Tensor Forward(const Tensor& x, const Tensor& attention = Tensor());
 
   int64_t order() const { return static_cast<int64_t>(polynomials_.size()); }
-
- protected:
-  void CastBuffersTo(tensor::DType dtype) override {
-    for (Tensor& t : polynomials_) t = t.CastTo(dtype);
-  }
 
  private:
   std::vector<Tensor> polynomials_;  // constants

@@ -60,15 +60,4 @@ void Module::ZeroGrad() {
   for (Tensor* t : Parameters()) t->ZeroGrad();
 }
 
-void Module::CastTo(tensor::DType dtype) {
-  for (auto& [unused, tensor] : parameters_) {
-    Tensor cast = tensor->CastTo(dtype);
-    cast.SetRequiresGrad(true);
-    *tensor = std::move(cast);
-  }
-  CastBuffersTo(dtype);
-  for (auto& [unused, child] : children_) child->CastTo(dtype);
-  dtype_ = dtype;
-}
-
 }  // namespace emaf::nn

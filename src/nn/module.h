@@ -46,22 +46,8 @@ class Module {
   // Clears accumulated gradients on every parameter.
   void ZeroGrad();
 
-  // Casts every parameter (and, via CastBuffersTo, every non-parameter
-  // buffer a subclass baked at construction) to `dtype`, recursively.
-  // Intended for inference residents: training assumes f64, so a model
-  // cast to f32 must not be trained or recorded into a checkpoint.
-  void CastTo(tensor::DType dtype);
-
-  // The element type CastTo last applied (kF64 for a freshly built tree).
-  tensor::DType dtype() const { return dtype_; }
-
  protected:
   Module() = default;
-
-  // Subclasses that bake derived tensors at construction time (normalized
-  // adjacency operators, Chebyshev polynomial stacks, constant masks)
-  // override this to cast them alongside the parameters.
-  virtual void CastBuffersTo(tensor::DType dtype) { (void)dtype; }
 
   // Registers `value` as a trainable parameter; returns a stable pointer.
   Tensor* RegisterParameter(std::string name, Tensor value);
@@ -82,7 +68,6 @@ class Module {
   std::vector<std::pair<std::string, std::unique_ptr<Tensor>>> parameters_;
   std::vector<std::pair<std::string, std::unique_ptr<Module>>> children_;
   bool training_ = true;
-  tensor::DType dtype_ = tensor::DType::kF64;
 };
 
 }  // namespace emaf::nn

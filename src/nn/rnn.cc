@@ -75,11 +75,9 @@ Tensor Lstm::Forward(const Tensor& sequence) {
   EMAF_CHECK_EQ(sequence.dim(2), input_size_);
   int64_t batch = sequence.dim(0);
   int64_t steps = sequence.dim(1);
-  // Initial state follows the sequence's element type so an f32 model
-  // never mixes dtypes mid-forward.
   LstmCell::State state{
-      Tensor::Zeros(Shape{batch, cell_->hidden_size()}, sequence.dtype()),
-      Tensor::Zeros(Shape{batch, cell_->hidden_size()}, sequence.dtype()),
+      Tensor::Zeros(Shape{batch, cell_->hidden_size()}),
+      Tensor::Zeros(Shape{batch, cell_->hidden_size()}),
   };
   std::vector<Tensor> outputs;
   outputs.reserve(steps);

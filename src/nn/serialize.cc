@@ -1,9 +1,11 @@
 #include "nn/serialize.h"
 
+#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
+#include <vector>
 
 #include "common/string_util.h"
 
@@ -94,7 +96,7 @@ Status SaveParameters(Module* module, const std::string& path,
   for (const NamedParameter& p : params) {
     WriteU64(out, p.name.size());
     out.write(p.name.data(), static_cast<std::streamsize>(p.name.size()));
-    const uint8_t dtype_byte = static_cast<uint8_t>(p.value->dtype());
+    const uint8_t dtype_byte = static_cast<uint8_t>(tensor::DType::kF64);
     out.write(reinterpret_cast<const char*>(&dtype_byte), 1);
     const tensor::Shape& shape = p.value->shape();
     WriteU64(out, static_cast<uint64_t>(shape.rank()));
@@ -119,6 +121,7 @@ Status LoadParameters(Module* module, const std::string& path) {
   }
 
   std::map<std::string, tensor::Tensor*> by_name;
+  std::set<std::string> loaded;
   for (const NamedParameter& p : module->NamedParameters()) {
     by_name[p.name] = p.value;
   }
@@ -146,7 +149,6 @@ Status LoadParameters(Module* module, const std::string& path) {
                  static_cast<int>(dtype_byte), " for parameter ", name,
                  " in ", path));
     }
-    const tensor::DType file_dtype = static_cast<tensor::DType>(dtype_byte);
     uint64_t rank = 0;
     if (!ReadU64(in, &rank) || rank > 16) {
       return Status::InvalidArgument(StrCat("corrupt checkpoint: ", path));
@@ -162,6 +164,12 @@ Status LoadParameters(Module* module, const std::string& path) {
       return Status::InvalidArgument(
           StrCat("checkpoint parameter not in module: ", name));
     }
+    // The count matches the module's, so a repeated record would leave
+    // some other parameter at its initial values.
+    if (!loaded.insert(name).second) {
+      return Status::InvalidArgument(StrCat(
+          "corrupt checkpoint: parameter ", name, " repeated in ", path));
+    }
     tensor::Shape file_shape{std::vector<int64_t>(dims)};
     if (file_shape != it->second->shape()) {
       return Status::InvalidArgument(
@@ -170,21 +178,15 @@ Status LoadParameters(Module* module, const std::string& path) {
                  it->second->shape().ToString()));
     }
     tensor::Tensor* param = it->second;
-    if (file_dtype == param->dtype()) {
+    if (dtype_byte == static_cast<uint8_t>(tensor::DType::kF32)) {
+      // A 4-byte payload (older builds wrote them), widened element-wise.
+      std::vector<float> staged(static_cast<size_t>(param->NumElements()));
+      in.read(reinterpret_cast<char*>(staged.data()),
+              static_cast<std::streamsize>(staged.size() * sizeof(float)));
+      std::copy(staged.begin(), staged.end(), param->data());
+    } else {
       in.read(reinterpret_cast<char*>(param->raw_data()),
               static_cast<std::streamsize>(param->byte_size()));
-    } else {
-      // Payload dtype differs from the receiving parameter's: stage the
-      // payload and convert element-wise into the existing storage (the
-      // registered Tensor* must stay stable).
-      tensor::Tensor staged = tensor::MakeUninitialized(file_shape, file_dtype);
-      in.read(reinterpret_cast<char*>(staged.raw_data()),
-              static_cast<std::streamsize>(staged.byte_size()));
-      if (in.good()) {
-        tensor::Tensor cast = staged.CastTo(param->dtype());
-        std::memcpy(param->raw_data(), cast.raw_data(),
-                    static_cast<size_t>(param->byte_size()));
-      }
     }
     if (!in.good()) {
       return Status::InvalidArgument(StrCat("truncated checkpoint: ", path));

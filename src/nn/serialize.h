@@ -7,15 +7,14 @@
 //                  uint64 rank | int64 dims[rank] | data[numel]
 //
 // The dtype byte is the tensor::DType enum value (0 = f64, 1 = f32) and
-// governs the element width of the data payload that follows. The config
-// blob is an opaque string (the model registry stores a serialized
-// ModelConfig there) so a serving process can rebuild the module before
-// loading its weights. This module is the only reader and writer of the
-// format, and v3 is the only version it reads: files of any other version
-// (v1 had no config, v2 no dtype byte) are rejected with kInvalidArgument
-// naming the file and the version. On load a payload whose dtype differs
-// from the receiving parameter's is converted element-wise, so an f64
-// training snapshot can fill an f32 resident and vice versa.
+// governs the element width of the data payload that follows. The writer
+// always emits f64; the reader widens an f32 payload (written by older
+// builds) to f64. The config blob is an opaque string (the model registry
+// stores a serialized ModelConfig there) so a serving process can rebuild
+// the module before loading its weights. This module is the only reader
+// and writer of the format, and v3 is the only version it reads: files of
+// any other version (v1 had no config, v2 no dtype byte) are rejected with
+// kInvalidArgument naming the file and the version.
 
 #ifndef EMAF_NN_SERIALIZE_H_
 #define EMAF_NN_SERIALIZE_H_
@@ -40,10 +39,9 @@ Status SaveParameters(Module* module, const std::string& path,
                       std::string_view config);
 
 // Loads a snapshot into `module`. Every parameter in the file must exist
-// in the module with an identical shape, and vice versa; payloads are
-// converted element-wise when their dtype differs from the receiving
-// parameter's. The embedded config is ignored here — use
-// ReadSnapshotConfig.
+// in the module with an identical shape, and vice versa; a record that
+// repeats a name is kInvalidArgument. f32 payloads are widened to f64.
+// The embedded config is ignored here — use ReadSnapshotConfig.
 Status LoadParameters(Module* module, const std::string& path);
 
 // Returns the config blob embedded in a snapshot; empty for a file saved

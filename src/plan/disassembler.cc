@@ -51,13 +51,8 @@ void AppendParams(std::ostringstream* out, OpCode op, double s0, double s1,
 std::string Disassemble(const Plan& plan) {
   std::ostringstream out;
   out << "plan " << plan.family << " input=" << plan.input_shape.ToString()
-      << " output=" << plan.output_shape.ToString();
-  // f64 is the recorded default and stays unmarked (the golden disassembly
-  // texts predate dtypes); any other element type is called out.
-  if (plan.dtype != tensor::DType::kF64) {
-    out << " dtype=" << tensor::DTypeName(plan.dtype);
-  }
-  out << " regs=" << plan.num_regs << " constants=" << plan.constants.size()
+      << " output=" << plan.output_shape.ToString()
+      << " regs=" << plan.num_regs << " constants=" << plan.constants.size()
       << " instructions=" << plan.instructions.size() << "\n";
   out << "  recorded=" << plan.recorded_ops
       << " folded=" << plan.folded_constants << "\n";

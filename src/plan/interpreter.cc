@@ -23,12 +23,6 @@ Result<Tensor> Execute(const Plan& plan, const Tensor& input,
                plan.input_shape.ToString(), ", got ",
                input.shape().ToString()));
   }
-  if (input.dtype() != plan.dtype) {
-    return Status::InvalidArgument(
-        StrCat("plan: ", plan.family, " compiled for ",
-               tensor::DTypeName(plan.dtype), " input, got ",
-               tensor::DTypeName(input.dtype())));
-  }
   EMAF_METRIC_COUNTER_ADD("plan.instructions_total",
                           static_cast<int64_t>(plan.instructions.size()));
 

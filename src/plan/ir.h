@@ -93,10 +93,6 @@ struct Plan {
   std::string family;            // Forecaster::name() at record time
   tensor::Shape input_shape;     // the window shape the plan was built for
   tensor::Shape output_shape;
-  // Element type the plan was recorded under: every constant, register
-  // and the window share it (mixed-dtype forwards do not record). The
-  // interpreter rejects inputs of any other dtype.
-  tensor::DType dtype = tensor::DType::kF64;
   int32_t num_regs = 1;          // register file size (>= 1: the input)
   SlotRef output = kInputReg;    // where the forecast lands
   std::vector<tensor::Tensor> constants;

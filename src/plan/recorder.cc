@@ -94,7 +94,7 @@ class RecordingSink final : public ph::Sink {
 };
 
 bool BitwiseEqual(const Tensor& a, const Tensor& b) {
-  if (!(a.shape() == b.shape()) || a.dtype() != b.dtype()) return false;
+  if (!(a.shape() == b.shape())) return false;
   return std::memcmp(a.raw_data(), b.raw_data(),
                      static_cast<size_t>(a.byte_size())) == 0;
 }
@@ -178,7 +178,6 @@ Result<std::shared_ptr<const Plan>> Compile(models::Forecaster* model,
   plan->family = model->name();
   plan->input_shape = window.shape();
   plan->output_shape = recorded_out.shape();
-  plan->dtype = window.dtype();
   plan->recorded_ops = recorded_ops;
   plan->folded_constants = folded;
 
@@ -246,19 +245,11 @@ Result<std::shared_ptr<const Plan>> Compile(models::Forecaster* model,
   }
   Tensor probe = window.Clone();
   {
-    // The nudge (multiples of 2^-7, exact in both dtypes) is applied in
-    // the window's own element type.
+    // The nudge is a multiple of 2^-7, so it is exact.
     const int64_t n = probe.NumElements();
-    if (probe.dtype() == tensor::DType::kF32) {
-      float* d = probe.data<float>();
-      for (int64_t i = 0; i < n; ++i) {
-        d[i] += 0.0078125f * static_cast<float>(1 + (i % 5));
-      }
-    } else {
-      Scalar* d = probe.data();
-      for (int64_t i = 0; i < n; ++i) {
-        d[i] += 0.0078125 * static_cast<Scalar>(1 + (i % 5));
-      }
+    Scalar* d = probe.data();
+    for (int64_t i = 0; i < n; ++i) {
+      d[i] += 0.0078125 * static_cast<Scalar>(1 + (i % 5));
     }
   }
   Tensor module_probe;

@@ -37,26 +37,8 @@ Result<tensor::Tensor> ExecuteForecast(models::Forecaster* model,
         model->input_length(), ", ", model->num_variables(), "], got ",
         window.defined() ? window.shape().ToString() : "no tensor"));
   }
-  // An f32-resident model executes natively in its own element type: the
-  // request window (wire doubles) is cast once on entry and the forecast
-  // cast back on exit, both drawing from the arena. The model's
-  // parameters, plan constants and every intermediate stay f32 — no
-  // per-request weight conversion. An f64 model takes the historical path
-  // untouched (the casts below are no-ops that share storage).
-  tensor::Tensor exec_window = window;
-  if (model->dtype() != window.dtype()) {
-    tensor::ArenaScope scope(arena);
-    exec_window = window.CastTo(model->dtype());
-  }
-  auto finish = [&](tensor::Tensor prediction) -> tensor::Tensor {
-    if (prediction.dtype() != window.dtype()) {
-      tensor::ArenaScope scope(arena);
-      prediction = prediction.CastTo(window.dtype());
-    }
-    return prediction;
-  };
   if (plans != nullptr && !plans->disabled()) {
-    plan::PlanCache::Acquired acquired = plans->GetOrCompile(model, exec_window);
+    plan::PlanCache::Acquired acquired = plans->GetOrCompile(model, window);
     if (acquired.hit) {
       EMAF_METRIC_COUNTER_ADD("serve.plan_cache_hits", 1);
     } else {
@@ -72,8 +54,8 @@ Result<tensor::Tensor> ExecuteForecast(models::Forecaster* model,
             StrCat("injected fault: plan.execute/", individual_id));
       }
       Result<tensor::Tensor> prediction =
-          plan::Execute(*acquired.plan, exec_window, arena);
-      if (prediction.ok()) return finish(std::move(prediction).value());
+          plan::Execute(*acquired.plan, window, arena);
+      if (prediction.ok()) return prediction;
       plans->Disable();  // unexpected execute failure: stop using plans
     }
     // acquired.plan == nullptr (compile failed): module path below.
@@ -84,9 +66,9 @@ Result<tensor::Tensor> ExecuteForecast(models::Forecaster* model,
     // buffers return as the intermediates die, so a steady-state request
     // performs zero heap allocation.
     tensor::ArenaScope scope(arena);
-    prediction = core::Predict(model, exec_window);
+    prediction = core::Predict(model, window);
   }
-  return finish(std::move(prediction));
+  return prediction;
 }
 
 }  // namespace emaf::serve

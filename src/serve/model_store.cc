@@ -31,10 +31,9 @@ struct StoreEntry {
   // they are read and written under the owning shard's mutex only.
   std::string path;
   int64_t file_bytes = 0;
-  // Actual in-memory parameter bytes of the loaded model (reflecting the
-  // store's load_dtype). 0 until the first cold load; kept across
-  // eviction — the same snapshot at the same dtype always reloads to the
-  // same size, so reload admission uses the exact figure.
+  // Actual in-memory parameter bytes of the loaded model. 0 until the
+  // first cold load; kept across eviction — the same snapshot always
+  // reloads to the same size, so reload admission uses the exact figure.
   int64_t resident_bytes = 0;
   size_t shard = 0;
 
@@ -556,15 +555,10 @@ Result<ModelHandle> ModelStore::Get(const std::string& id) {
     load_generation = entry->generation;
     path = entry->path;
     // Admission estimate: a reload knows its exact in-memory size from the
-    // previous residency; a first-time load scales the snapshot file size
-    // by the load dtype (the payload is raw f64 weights, so an f32
-    // resident lands near half of it).
+    // previous residency; a first-time load uses the snapshot file size
+    // (the payload is raw f64 weights).
     admission_bytes = entry->resident_bytes;
-    if (admission_bytes == 0) {
-      admission_bytes = impl_->options.load_dtype == tensor::DType::kF32
-                            ? entry->file_bytes / 2
-                            : entry->file_bytes;
-    }
+    if (admission_bytes == 0) admission_bytes = entry->file_bytes;
   }
 
   // Cold path — no locks held for admission or the disk load.
@@ -588,7 +582,7 @@ Result<ModelHandle> ModelStore::Get(const std::string& id) {
   }
   Rng rng(kModelSeed);
   Result<std::unique_ptr<models::Forecaster>> loaded =
-      models::LoadForecasterSnapshot(path, &rng, impl_->options.load_dtype);
+      models::LoadForecasterSnapshot(path, &rng);
   if (!loaded.ok()) {
     impl_->load_failures.fetch_add(1, std::memory_order_relaxed);
     EMAF_METRIC_COUNTER_ADD("serve.store.load_failures_total", 1);
@@ -602,9 +596,9 @@ Result<ModelHandle> ModelStore::Get(const std::string& id) {
   loaded.value()->SetTraining(false);
   std::shared_ptr<models::Forecaster> model = std::move(loaded).value();
   std::shared_ptr<plan::PlanCache> plans = std::make_shared<plan::PlanCache>();
-  // What the budget actually pays for: the loaded tensors' bytes at the
-  // store's dtype (parameters dominate a model's footprint; the few baked
-  // graph buffers are not enumerable through the Module interface).
+  // What the budget actually pays for: the loaded tensors' bytes
+  // (parameters dominate a model's footprint; the few baked graph buffers
+  // are not enumerable through the Module interface).
   int64_t model_bytes = 0;
   for (tensor::Tensor* t : model->Parameters()) model_bytes += t->byte_size();
   bool installed = false;

@@ -9,8 +9,7 @@
 // config), puts the model in eval mode once, and pins it with a
 // refcounted ModelHandle. When a configurable budget is exceeded
 // (`max_resident_models` models and/or `max_resident_bytes` bytes, a
-// resident model being charged its actual in-memory parameter bytes —
-// half as much per model when `load_dtype` is f32), the
+// resident model being charged its actual in-memory parameter bytes), the
 // least-recently-used *idle* model is evicted; a pinned model is never
 // evicted, and a handle additionally co-owns the model storage, so even a
 // buggy eviction could not free memory in use. Get() returns
@@ -66,7 +65,6 @@
 
 #include "common/status.h"
 #include "models/forecaster.h"
-#include "tensor/dtype.h"
 
 namespace emaf::plan {
 class PlanCache;
@@ -85,16 +83,10 @@ struct ModelStoreOptions {
   // only when nothing is evictable.
   int64_t max_resident_models = 0;
   // Byte budget: a resident model is charged the in-memory bytes of its
-  // parameter tensors once loaded (which reflect `load_dtype` — an f32
-  // resident costs half its f64 snapshot). Admission of a first-time load
-  // uses the snapshot file size scaled by the dtype as the estimate;
-  // reloads know the exact size. <= 0 = unlimited.
+  // parameter tensors once loaded. Admission of a first-time load uses
+  // the snapshot file size as the estimate; reloads know the exact size.
+  // <= 0 = unlimited.
   int64_t max_resident_bytes = 0;
-  // Element type residents are cast to at cold load. Training snapshots
-  // stay f64 on disk; kF32 halves each resident's memory and enables the
-  // f32 op/plan kernels. The forecast path converts request windows and
-  // outputs at the boundary, so wire bytes stay doubles either way.
-  tensor::DType load_dtype = tensor::DType::kF64;
 };
 
 namespace internal {
@@ -238,8 +230,8 @@ class ModelStore {
     uint64_t swaps = 0;          // Publish() calls that landed
     uint64_t max_published_version = 0;  // watermark (0 = nothing published)
     int64_t resident_models = 0;
-    // In-memory parameter bytes of resident models (per load_dtype), not
-    // the snapshot-file-size proxy earlier revisions reported.
+    // In-memory parameter bytes of resident models, not the
+    // snapshot-file-size proxy earlier revisions reported.
     int64_t resident_bytes = 0;
   };
   Stats stats() const;

@@ -54,9 +54,7 @@ class InferenceArena {
   void Clear();
 
   // Storage for `bytes` bytes, recycled when a matching buffer is pooled.
-  // Called by MakeUninitialized under an active ArenaScope; keying by byte
-  // count means an f32 tensor and an f64 tensor of the same numel use
-  // separate pools.
+  // Called by MakeUninitialized under an active ArenaScope.
   std::shared_ptr<std::vector<std::byte>> Acquire(int64_t bytes);
 
  private:

@@ -7,7 +7,6 @@
 
 #include "common/check.h"
 #include "tensor/autograd.h"
-#include "tensor/dtype.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -15,7 +14,7 @@ namespace emaf::tensor::internal {
 
 // C += A B on raw row-major buffers ([m, k] x [k, n]); C must be
 // zero-initialized (or hold a partial sum to accumulate into). Runs the
-// dispatched simd::MatMulF64 / MatMulF32 kernel (tensor/simd.h) on the
+// dispatched simd::MatMulF64 kernel (tensor/simd.h) on the
 // global ThreadPool: rows split at multiples of the kernel's 4-row block,
 // or, when there are fewer than 2 blocks per thread and more column tiles
 // than blocks, columns split at kernel tiles. Neither partition changes
@@ -25,55 +24,44 @@ namespace emaf::tensor::internal {
 // overhead would dominate. Defined in ops_matmul.cc.
 void ParallelMatMul(const Scalar* a, const Scalar* b, Scalar* c, int64_t m,
                     int64_t k, int64_t n);
-void ParallelMatMul(const float* a, const float* b, float* c, int64_t m,
-                    int64_t k, int64_t n);
 
 // m * k * n below which ParallelMatMul runs serially.
 inline constexpr int64_t kMatMulParallelMinFlops = 1 << 17;
 
-// Applies `f(x_i)` elementwise into a fresh tensor of x's dtype (no
-// autograd recording; callers attach their own GradFn). `f` must be
-// generic (or Scalar-typed for f64-only callers such as backward passes);
-// at float instantiation every literal inside `f` must be T-pure or the
-// arithmetic silently promotes to double.
-template <typename T, typename F>
-Tensor MapUnaryT(const Tensor& x, F f) {
-  Tensor out = MakeUninitialized(x.shape(), x.dtype());
-  const T* xd = x.template data<T>();
-  T* od = out.template data<T>();
+// Applies `f(x_i)` elementwise into a fresh tensor (no autograd
+// recording; callers attach their own GradFn).
+template <typename F>
+Tensor MapUnary(const Tensor& x, F f) {
+  Tensor out = MakeUninitialized(x.shape());
+  const Scalar* xd = x.data();
+  Scalar* od = out.data();
   int64_t n = x.NumElements();
   for (int64_t i = 0; i < n; ++i) od[i] = f(xd[i]);
   return out;
 }
 
-template <typename F>
-Tensor MapUnary(const Tensor& x, F f) {
-  if (x.dtype() == DType::kF32) return MapUnaryT<float>(x, f);
-  return MapUnaryT<double>(x, f);
-}
-
 // Applies `f(a_i, b_i)` with broadcasting into a fresh tensor (no autograd).
-template <typename T, typename F>
-Tensor MapBinaryT(const Tensor& a, const Tensor& b, F f) {
+template <typename F>
+Tensor MapBinary(const Tensor& a, const Tensor& b, F f) {
   if (a.shape() == b.shape()) {
-    Tensor out = MakeUninitialized(a.shape(), a.dtype());
-    const T* ad = a.template data<T>();
-    const T* bd = b.template data<T>();
-    T* od = out.template data<T>();
+    Tensor out = MakeUninitialized(a.shape());
+    const Scalar* ad = a.data();
+    const Scalar* bd = b.data();
+    Scalar* od = out.data();
     int64_t n = a.NumElements();
     for (int64_t i = 0; i < n; ++i) od[i] = f(ad[i], bd[i]);
     return out;
   }
   Shape out_shape = BroadcastShapes(a.shape(), b.shape());
-  Tensor out = MakeUninitialized(out_shape, a.dtype());
+  Tensor out = MakeUninitialized(out_shape);
   std::vector<int64_t> a_strides = BroadcastStrides(a.shape(), out_shape);
   std::vector<int64_t> b_strides = BroadcastStrides(b.shape(), out_shape);
   const std::vector<int64_t>& dims = out_shape.dims();
   int64_t rank = out_shape.rank();
   std::vector<int64_t> index(rank, 0);
-  const T* ad = a.template data<T>();
-  const T* bd = b.template data<T>();
-  T* od = out.template data<T>();
+  const Scalar* ad = a.data();
+  const Scalar* bd = b.data();
+  Scalar* od = out.data();
   int64_t n = out_shape.NumElements();
   int64_t a_off = 0;
   int64_t b_off = 0;
@@ -91,15 +79,6 @@ Tensor MapBinaryT(const Tensor& a, const Tensor& b, F f) {
     }
   }
   return out;
-}
-
-template <typename F>
-Tensor MapBinary(const Tensor& a, const Tensor& b, F f) {
-  EMAF_CHECK(a.dtype() == b.dtype())
-      << "binary op on " << DTypeName(a.dtype()) << " and "
-      << DTypeName(b.dtype());
-  if (a.dtype() == DType::kF32) return MapBinaryT<float>(a, b, f);
-  return MapBinaryT<double>(a, b, f);
 }
 
 }  // namespace emaf::tensor::internal

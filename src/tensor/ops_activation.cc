@@ -21,20 +21,19 @@ void DecomposeAround(const Shape& shape, int64_t axis, int64_t* outer,
   for (int64_t i = axis + 1; i < shape.rank(); ++i) *inner *= shape.dim(i);
 }
 
-template <typename T>
 void SoftmaxCompute(const Tensor& x, Tensor* out, int64_t outer, int64_t d,
                     int64_t inner) {
-  const T* xd = x.data<T>();
-  T* od = out->data<T>();
+  const Scalar* xd = x.data();
+  Scalar* od = out->data();
   for (int64_t o = 0; o < outer; ++o) {
     for (int64_t i = 0; i < inner; ++i) {
-      T max_v = xd[(o * d) * inner + i];
+      Scalar max_v = xd[(o * d) * inner + i];
       for (int64_t k = 1; k < d; ++k) {
         max_v = std::max(max_v, xd[(o * d + k) * inner + i]);
       }
-      T denom = T(0);
+      Scalar denom = 0.0;
       for (int64_t k = 0; k < d; ++k) {
-        T e = std::exp(xd[(o * d + k) * inner + i] - max_v);
+        Scalar e = std::exp(xd[(o * d + k) * inner + i] - max_v);
         od[(o * d + k) * inner + i] = e;
         denom += e;
       }
@@ -43,22 +42,21 @@ void SoftmaxCompute(const Tensor& x, Tensor* out, int64_t outer, int64_t d,
   }
 }
 
-template <typename T>
 void LogSoftmaxCompute(const Tensor& x, Tensor* out, int64_t outer, int64_t d,
                        int64_t inner) {
-  const T* xd = x.data<T>();
-  T* od = out->data<T>();
+  const Scalar* xd = x.data();
+  Scalar* od = out->data();
   for (int64_t o = 0; o < outer; ++o) {
     for (int64_t i = 0; i < inner; ++i) {
-      T max_v = xd[(o * d) * inner + i];
+      Scalar max_v = xd[(o * d) * inner + i];
       for (int64_t k = 1; k < d; ++k) {
         max_v = std::max(max_v, xd[(o * d + k) * inner + i]);
       }
-      T denom = T(0);
+      Scalar denom = 0.0;
       for (int64_t k = 0; k < d; ++k) {
         denom += std::exp(xd[(o * d + k) * inner + i] - max_v);
       }
-      T log_denom = max_v + std::log(denom);
+      Scalar log_denom = max_v + std::log(denom);
       for (int64_t k = 0; k < d; ++k) {
         int64_t idx = (o * d + k) * inner + i;
         od[idx] = xd[idx] - log_denom;
@@ -70,10 +68,7 @@ void LogSoftmaxCompute(const Tensor& x, Tensor* out, int64_t outer, int64_t d,
 }  // namespace
 
 Tensor Relu(const Tensor& x) {
-  Tensor out = MapUnary(x, [](auto v) {
-    using T = decltype(v);
-    return v > T(0) ? v : T(0);
-  });
+  Tensor out = MapUnary(x, [](Scalar v) { return v > 0.0 ? v : 0.0; });
   if (ph::Active()) ph::Record(ph::OpKind::kRelu, {x}, out);
   if (ShouldRecord({x})) {
     Tensor xd = x.Detach();
@@ -94,9 +89,8 @@ Tensor Relu(const Tensor& x) {
 }
 
 Tensor LeakyRelu(const Tensor& x, Scalar negative_slope) {
-  Tensor out = MapUnary(x, [negative_slope](auto v) {
-    using T = decltype(v);
-    return v > T(0) ? v : static_cast<T>(negative_slope) * v;
+  Tensor out = MapUnary(x, [negative_slope](Scalar v) {
+    return v > 0.0 ? v : negative_slope * v;
   });
   if (ph::Active()) {
     ph::Record(ph::OpKind::kLeakyRelu, {x}, out, negative_slope);
@@ -120,9 +114,8 @@ Tensor LeakyRelu(const Tensor& x, Scalar negative_slope) {
 }
 
 Tensor Elu(const Tensor& x, Scalar alpha) {
-  Tensor out = MapUnary(x, [alpha](auto v) {
-    using T = decltype(v);
-    return v > T(0) ? v : static_cast<T>(alpha) * (std::exp(v) - T(1));
+  Tensor out = MapUnary(x, [alpha](Scalar v) {
+    return v > 0.0 ? v : alpha * (std::exp(v) - 1.0);
   });
   if (ph::Active()) ph::Record(ph::OpKind::kElu, {x}, out, alpha);
   if (ShouldRecord({x})) {
@@ -147,15 +140,14 @@ Tensor Elu(const Tensor& x, Scalar alpha) {
 }
 
 Tensor Sigmoid(const Tensor& x) {
-  Tensor out = MapUnary(x, [](auto v) {
-    using T = decltype(v);
+  Tensor out = MapUnary(x, [](Scalar v) {
     // Numerically stable logistic.
-    if (v >= T(0)) {
-      T e = std::exp(-v);
-      return T(1) / (T(1) + e);
+    if (v >= 0.0) {
+      Scalar e = std::exp(-v);
+      return 1.0 / (1.0 + e);
     }
-    T e = std::exp(v);
-    return e / (T(1) + e);
+    Scalar e = std::exp(v);
+    return e / (1.0 + e);
   });
   if (ph::Active()) ph::Record(ph::OpKind::kSigmoid, {x}, out);
   if (ShouldRecord({x})) {
@@ -177,7 +169,7 @@ Tensor Sigmoid(const Tensor& x) {
 }
 
 Tensor Tanh(const Tensor& x) {
-  Tensor out = MapUnary(x, [](auto v) { return std::tanh(v); });
+  Tensor out = MapUnary(x, [](Scalar v) { return std::tanh(v); });
   if (ph::Active()) ph::Record(ph::OpKind::kTanh, {x}, out);
   if (ShouldRecord({x})) {
     Tensor y = out.Detach();
@@ -205,12 +197,8 @@ Tensor Softmax(const Tensor& x, int64_t dim) {
   DecomposeAround(x.shape(), axis, &outer, &d, &inner);
   EMAF_CHECK_GT(d, 0);
 
-  Tensor out = MakeUninitialized(x.shape(), x.dtype());
-  if (x.dtype() == DType::kF32) {
-    SoftmaxCompute<float>(x, &out, outer, d, inner);
-  } else {
-    SoftmaxCompute<Scalar>(x, &out, outer, d, inner);
-  }
+  Tensor out = MakeUninitialized(x.shape());
+  SoftmaxCompute(x, &out, outer, d, inner);
 
   if (ph::Active()) {
     ph::Record({ph::OpKind::kSoftmax, {x}, out, 0.0, 0.0, {axis}});
@@ -251,12 +239,8 @@ Tensor LogSoftmax(const Tensor& x, int64_t dim) {
   DecomposeAround(x.shape(), axis, &outer, &d, &inner);
   EMAF_CHECK_GT(d, 0);
 
-  Tensor out = MakeUninitialized(x.shape(), x.dtype());
-  if (x.dtype() == DType::kF32) {
-    LogSoftmaxCompute<float>(x, &out, outer, d, inner);
-  } else {
-    LogSoftmaxCompute<Scalar>(x, &out, outer, d, inner);
-  }
+  Tensor out = MakeUninitialized(x.shape());
+  LogSoftmaxCompute(x, &out, outer, d, inner);
 
   if (ph::Active()) {
     ph::Record({ph::OpKind::kLogSoftmax, {x}, out, 0.0, 0.0, {axis}});

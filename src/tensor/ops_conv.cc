@@ -57,24 +57,23 @@ struct ConvDims {
 
 // Builds the im2col matrix [rows, cols]: row (n, oh, ow) holds the receptive
 // field values for every (c, kh, kw), zero where padding is sampled.
-template <typename T>
-Tensor Im2Col(const T* in, const ConvDims& d, const Conv2dOptions& o) {
-  Tensor col = Tensor::Zeros(Shape{d.rows(), d.cols()}, DTypeOf<T>::value);
-  T* cd = col.data<T>();
+Tensor Im2Col(const Scalar* in, const ConvDims& d, const Conv2dOptions& o) {
+  Tensor col = Tensor::Zeros(Shape{d.rows(), d.cols()});
+  Scalar* cd = col.data();
   const int64_t K = d.cols();
   ForEachBatch(d.batch, d.out_h * d.out_w * K, [&](int64_t n) {
-    const T* in_n = in + n * d.in_channels * d.in_h * d.in_w;
-    T* col_n = cd + n * d.out_h * d.out_w * K;
+    const Scalar* in_n = in + n * d.in_channels * d.in_h * d.in_w;
+    Scalar* col_n = cd + n * d.out_h * d.out_w * K;
     for (int64_t c = 0; c < d.in_channels; ++c) {
-      const T* plane = in_n + c * d.in_h * d.in_w;
+      const Scalar* plane = in_n + c * d.in_h * d.in_w;
       for (int64_t kh = 0; kh < d.kernel_h; ++kh) {
         for (int64_t kw = 0; kw < d.kernel_w; ++kw) {
           int64_t k_idx = (c * d.kernel_h + kh) * d.kernel_w + kw;
           for (int64_t oh = 0; oh < d.out_h; ++oh) {
             int64_t ih = oh * o.stride_h - o.pad_h + kh * o.dilation_h;
             if (ih < 0 || ih >= d.in_h) continue;
-            const T* row = plane + ih * d.in_w;
-            T* dst = col_n + (oh * d.out_w) * K + k_idx;
+            const Scalar* row = plane + ih * d.in_w;
+            Scalar* dst = col_n + (oh * d.out_w) * K + k_idx;
             for (int64_t ow = 0; ow < d.out_w; ++ow) {
               int64_t iw = ow * o.stride_w - o.pad_w + kw * o.dilation_w;
               if (iw >= 0 && iw < d.in_w) dst[ow * K] = row[iw];
@@ -116,42 +115,39 @@ void Col2ImAdd(const Scalar* col, const ConvDims& d, const Conv2dOptions& o,
 }
 
 // [O, K] -> [K, O] transpose copy (weights are small).
-template <typename T>
-Tensor TransposeMatrix(const T* src, int64_t rows, int64_t cols) {
-  Tensor out = MakeUninitialized(Shape{cols, rows}, DTypeOf<T>::value);
-  T* od = out.data<T>();
+Tensor TransposeMatrix(const Scalar* src, int64_t rows, int64_t cols) {
+  Tensor out = MakeUninitialized(Shape{cols, rows});
+  Scalar* od = out.data();
   for (int64_t r = 0; r < rows; ++r) {
     for (int64_t c = 0; c < cols; ++c) od[c * rows + r] = src[r * cols + c];
   }
   return out;
 }
 
-// The dtype-generic forward compute: fills *col_out (cached by the f64
-// gradient closure) and returns the [N, O, out_h, out_w] output.
-template <typename T>
+// The forward compute: fills *col_out (cached by the gradient closure) and
+// returns the [N, O, out_h, out_w] output.
 Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
                      const Tensor& bias, const Conv2dOptions& options,
                      const ConvDims& d, Tensor* col_out) {
   // out_mat [M, O] = col [M, K] x W^T [K, O].
-  Tensor col = Im2Col(input.data<T>(), d, options);
-  Tensor w_t = TransposeMatrix(weight.data<T>(), d.out_channels, d.cols());
-  Tensor out_mat =
-      Tensor::Zeros(Shape{d.rows(), d.out_channels}, input.dtype());
-  internal::ParallelMatMul(col.data<T>(), w_t.data<T>(), out_mat.data<T>(),
-                           d.rows(), d.cols(), d.out_channels);
+  Tensor col = Im2Col(input.data(), d, options);
+  Tensor w_t = TransposeMatrix(weight.data(), d.out_channels, d.cols());
+  Tensor out_mat = Tensor::Zeros(Shape{d.rows(), d.out_channels});
+  internal::ParallelMatMul(col.data(), w_t.data(), out_mat.data(), d.rows(),
+                           d.cols(), d.out_channels);
 
   // Scatter [M, O] -> [N, O, out_h, out_w], adding the bias.
-  Tensor out = MakeUninitialized(
-      Shape{d.batch, d.out_channels, d.out_h, d.out_w}, input.dtype());
-  T* od = out.data<T>();
-  const T* md = out_mat.data<T>();
-  const T* b_d = bias.defined() ? bias.data<T>() : nullptr;
+  Tensor out =
+      MakeUninitialized(Shape{d.batch, d.out_channels, d.out_h, d.out_w});
+  Scalar* od = out.data();
+  const Scalar* md = out_mat.data();
+  const Scalar* b_d = bias.defined() ? bias.data() : nullptr;
   int64_t hw = d.out_h * d.out_w;
   ForEachBatch(d.batch, d.out_channels * hw, [&](int64_t n) {
     for (int64_t o = 0; o < d.out_channels; ++o) {
-      T b = b_d != nullptr ? b_d[o] : T(0);
-      T* plane = od + (n * d.out_channels + o) * hw;
-      const T* src = md + n * hw * d.out_channels + o;
+      Scalar b = b_d != nullptr ? b_d[o] : 0.0;
+      Scalar* plane = od + (n * d.out_channels + o) * hw;
+      const Scalar* src = md + n * hw * d.out_channels + o;
       for (int64_t i = 0; i < hw; ++i) {
         plane[i] = src[i * d.out_channels] + b;
       }
@@ -191,17 +187,8 @@ Tensor Conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
   d.out_w = ConvOutExtent(d.in_w, d.kernel_w, options.stride_w, options.pad_w,
                           options.dilation_w);
 
-  EMAF_CHECK(input.dtype() == weight.dtype())
-      << "conv2d input/weight dtype mismatch";
-  if (bias.defined()) {
-    EMAF_CHECK(bias.dtype() == input.dtype())
-        << "conv2d bias dtype mismatch";
-  }
-  Tensor col;  // cached for the (f64-only) weight gradient
-  Tensor out =
-      input.dtype() == DType::kF32
-          ? Conv2dForward<float>(input, weight, bias, options, d, &col)
-          : Conv2dForward<Scalar>(input, weight, bias, options, d, &col);
+  Tensor col;  // cached for the weight gradient
+  Tensor out = Conv2dForward(input, weight, bias, options, d, &col);
 
   if (plan_hook::Active()) {
     plan_hook::Record({plan_hook::OpKind::kConv2d,

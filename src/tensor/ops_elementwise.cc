@@ -17,7 +17,7 @@ namespace ph = plan_hook;
 }  // namespace
 
 Tensor Add(const Tensor& a, const Tensor& b) {
-  Tensor out = MapBinary(a, b, [](auto x, auto y) { return x + y; });
+  Tensor out = MapBinary(a, b, [](Scalar x, Scalar y) { return x + y; });
   if (ph::Active()) ph::Record(ph::OpKind::kAdd, {a, b}, out);
   if (ShouldRecord({a, b})) {
     Shape sa = a.shape();
@@ -30,7 +30,7 @@ Tensor Add(const Tensor& a, const Tensor& b) {
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
-  Tensor out = MapBinary(a, b, [](auto x, auto y) { return x - y; });
+  Tensor out = MapBinary(a, b, [](Scalar x, Scalar y) { return x - y; });
   if (ph::Active()) ph::Record(ph::OpKind::kSub, {a, b}, out);
   if (ShouldRecord({a, b})) {
     Shape sa = a.shape();
@@ -47,7 +47,7 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
-  Tensor out = MapBinary(a, b, [](auto x, auto y) { return x * y; });
+  Tensor out = MapBinary(a, b, [](Scalar x, Scalar y) { return x * y; });
   if (ph::Active()) ph::Record(ph::OpKind::kMul, {a, b}, out);
   if (ShouldRecord({a, b})) {
     Tensor ad = a.Detach();
@@ -62,7 +62,7 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
 }
 
 Tensor Div(const Tensor& a, const Tensor& b) {
-  Tensor out = MapBinary(a, b, [](auto x, auto y) { return x / y; });
+  Tensor out = MapBinary(a, b, [](Scalar x, Scalar y) { return x / y; });
   if (ph::Active()) ph::Record(ph::OpKind::kDiv, {a, b}, out);
   if (ShouldRecord({a, b})) {
     Tensor ad = a.Detach();
@@ -80,7 +80,7 @@ Tensor Div(const Tensor& a, const Tensor& b) {
 
 Tensor Maximum(const Tensor& a, const Tensor& b) {
   Tensor out =
-      MapBinary(a, b, [](auto x, auto y) { return x > y ? x : y; });
+      MapBinary(a, b, [](Scalar x, Scalar y) { return x > y ? x : y; });
   if (ph::Active()) ph::Record(ph::OpKind::kMaximum, {a, b}, out);
   if (ShouldRecord({a, b})) {
     Tensor ad = a.Detach();
@@ -101,7 +101,7 @@ Tensor Maximum(const Tensor& a, const Tensor& b) {
 
 Tensor Minimum(const Tensor& a, const Tensor& b) {
   Tensor out =
-      MapBinary(a, b, [](auto x, auto y) { return x < y ? x : y; });
+      MapBinary(a, b, [](Scalar x, Scalar y) { return x < y ? x : y; });
   if (ph::Active()) ph::Record(ph::OpKind::kMinimum, {a, b}, out);
   if (ShouldRecord({a, b})) {
     Tensor ad = a.Detach();
@@ -120,7 +120,7 @@ Tensor Minimum(const Tensor& a, const Tensor& b) {
 }
 
 Tensor Neg(const Tensor& x) {
-  Tensor out = MapUnary(x, [](auto v) { return -v; });
+  Tensor out = MapUnary(x, [](Scalar v) { return -v; });
   if (ph::Active()) ph::Record(ph::OpKind::kNeg, {x}, out);
   if (ShouldRecord({x})) {
     SetGradFn(&out, "Neg", {x}, [](const Tensor& g) {
@@ -132,7 +132,7 @@ Tensor Neg(const Tensor& x) {
 }
 
 Tensor Exp(const Tensor& x) {
-  Tensor out = MapUnary(x, [](auto v) { return std::exp(v); });
+  Tensor out = MapUnary(x, [](Scalar v) { return std::exp(v); });
   if (ph::Active()) ph::Record(ph::OpKind::kExp, {x}, out);
   if (ShouldRecord({x})) {
     Tensor y = out.Detach();
@@ -145,7 +145,7 @@ Tensor Exp(const Tensor& x) {
 }
 
 Tensor Log(const Tensor& x) {
-  Tensor out = MapUnary(x, [](auto v) { return std::log(v); });
+  Tensor out = MapUnary(x, [](Scalar v) { return std::log(v); });
   if (ph::Active()) ph::Record(ph::OpKind::kLog, {x}, out);
   if (ShouldRecord({x})) {
     Tensor xd = x.Detach();
@@ -158,7 +158,7 @@ Tensor Log(const Tensor& x) {
 }
 
 Tensor Sqrt(const Tensor& x) {
-  Tensor out = MapUnary(x, [](auto v) { return std::sqrt(v); });
+  Tensor out = MapUnary(x, [](Scalar v) { return std::sqrt(v); });
   if (ph::Active()) ph::Record(ph::OpKind::kSqrt, {x}, out);
   if (ShouldRecord({x})) {
     Tensor y = out.Detach();
@@ -172,7 +172,7 @@ Tensor Sqrt(const Tensor& x) {
 }
 
 Tensor Abs(const Tensor& x) {
-  Tensor out = MapUnary(x, [](auto v) { return std::abs(v); });
+  Tensor out = MapUnary(x, [](Scalar v) { return std::abs(v); });
   if (ph::Active()) ph::Record(ph::OpKind::kAbs, {x}, out);
   if (ShouldRecord({x})) {
     Tensor xd = x.Detach();
@@ -187,11 +187,8 @@ Tensor Abs(const Tensor& x) {
 }
 
 Tensor Pow(const Tensor& x, Scalar exponent) {
-  Tensor out = MapUnary(x, [exponent](auto v) {
-    // static_cast keeps the float instantiation on powf: std::pow(float,
-    // double) would silently promote the whole element to double.
-    return std::pow(v, static_cast<decltype(v)>(exponent));
-  });
+  Tensor out =
+      MapUnary(x, [exponent](Scalar v) { return std::pow(v, exponent); });
   if (ph::Active()) ph::Record(ph::OpKind::kPow, {x}, out, exponent);
   if (ShouldRecord({x})) {
     Tensor xd = x.Detach();
@@ -207,11 +204,8 @@ Tensor Pow(const Tensor& x, Scalar exponent) {
 
 Tensor Clamp(const Tensor& x, Scalar low, Scalar high) {
   EMAF_CHECK_LE(low, high);
-  Tensor out = MapUnary(x, [low, high](auto v) {
-    using T = decltype(v);
-    const T lo = static_cast<T>(low);
-    const T hi = static_cast<T>(high);
-    return v < lo ? lo : (v > hi ? hi : v);
+  Tensor out = MapUnary(x, [low, high](Scalar v) {
+    return v < low ? low : (v > high ? high : v);
   });
   if (ph::Active()) ph::Record({ph::OpKind::kClamp, {x}, out, low, high, {}});
   if (ShouldRecord({x})) {
@@ -228,8 +222,7 @@ Tensor Clamp(const Tensor& x, Scalar low, Scalar high) {
 }
 
 Tensor AddScalar(const Tensor& x, Scalar s) {
-  Tensor out = MapUnary(
-      x, [s](auto v) { return v + static_cast<decltype(v)>(s); });
+  Tensor out = MapUnary(x, [s](Scalar v) { return v + s; });
   if (ph::Active()) ph::Record(ph::OpKind::kAddScalar, {x}, out, s);
   if (ShouldRecord({x})) {
     SetGradFn(&out, "AddScalar", {x}, [](const Tensor& g) {
@@ -240,8 +233,7 @@ Tensor AddScalar(const Tensor& x, Scalar s) {
 }
 
 Tensor MulScalar(const Tensor& x, Scalar s) {
-  Tensor out = MapUnary(
-      x, [s](auto v) { return v * static_cast<decltype(v)>(s); });
+  Tensor out = MapUnary(x, [s](Scalar v) { return v * s; });
   if (ph::Active()) ph::Record(ph::OpKind::kMulScalar, {x}, out, s);
   if (ShouldRecord({x})) {
     SetGradFn(&out, "MulScalar", {x}, [s](const Tensor& g) {

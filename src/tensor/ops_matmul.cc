@@ -11,25 +11,13 @@ namespace emaf::tensor {
 
 namespace internal {
 
-namespace {
-
-inline void SerialMatMul(const Scalar* a, const Scalar* b, Scalar* c,
-                         int64_t m, int64_t k, int64_t n, int64_t ld) {
-  simd::MatMulF64(a, b, c, m, k, n, ld);
-}
-inline void SerialMatMul(const float* a, const float* b, float* c, int64_t m,
-                         int64_t k, int64_t n, int64_t ld) {
-  simd::MatMulF32(a, b, c, m, k, n, ld);
-}
-
-template <typename T>
-void ParallelMatMulT(const T* a, const T* b, T* c, int64_t m, int64_t k,
-                     int64_t n) {
+void ParallelMatMul(const Scalar* a, const Scalar* b, Scalar* c, int64_t m,
+                    int64_t k, int64_t n) {
   common::ThreadPool& pool = common::ThreadPool::Global();
   const int64_t threads = pool.num_threads();
   if (threads <= 1 || m * k * n < kMatMulParallelMinFlops) {
     EMAF_METRIC_COUNTER_ADD("matmul.dispatch_serial", 1);
-    SerialMatMul(a, b, c, m, k, n, n);
+    simd::MatMulF64(a, b, c, m, k, n, n);
     return;
   }
   EMAF_METRIC_COUNTER_ADD("matmul.dispatch_parallel", 1);
@@ -45,7 +33,7 @@ void ParallelMatMulT(const T* a, const T* b, T* c, int64_t m, int64_t k,
     pool.ParallelFor(0, col_tiles, grain, [&](int64_t t0, int64_t t1) {
       const int64_t j0 = t0 * simd::kMatMulTileCols;
       const int64_t j1 = std::min(t1 * simd::kMatMulTileCols, n);
-      SerialMatMul(a, b + j0, c + j0, m, k, j1 - j0, n);
+      simd::MatMulF64(a, b + j0, c + j0, m, k, j1 - j0, n);
     });
     return;
   }
@@ -57,20 +45,8 @@ void ParallelMatMulT(const T* a, const T* b, T* c, int64_t m, int64_t k,
   pool.ParallelFor(0, row_blocks, grain, [&](int64_t b0, int64_t b1) {
     const int64_t r0 = b0 * 4;
     const int64_t r1 = std::min(b1 * 4, m);
-    SerialMatMul(a + r0 * k, b, c + r0 * n, r1 - r0, k, n, n);
+    simd::MatMulF64(a + r0 * k, b, c + r0 * n, r1 - r0, k, n, n);
   });
-}
-
-}  // namespace
-
-void ParallelMatMul(const Scalar* a, const Scalar* b, Scalar* c, int64_t m,
-                    int64_t k, int64_t n) {
-  ParallelMatMulT(a, b, c, m, k, n);
-}
-
-void ParallelMatMul(const float* a, const float* b, float* c, int64_t m,
-                    int64_t k, int64_t n) {
-  ParallelMatMulT(a, b, c, m, k, n);
 }
 
 }  // namespace internal
@@ -83,15 +59,14 @@ Shape BatchShape(const Shape& s) {
   return Shape(dims);
 }
 
-// The dtype-generic compute body of MatMul: out must be zero-initialized
-// with the broadcast-batched output shape.
-template <typename T>
+// The compute body of MatMul: out must be zero-initialized with the
+// broadcast-batched output shape.
 void MatMulCompute(const Tensor& a, const Tensor& b, Tensor* out, int64_t m,
                    int64_t k, int64_t n, const Shape& a_batch,
                    const Shape& b_batch, const Shape& batch) {
-  const T* ad = a.data<T>();
-  const T* bd = b.data<T>();
-  T* od = out->data<T>();
+  const Scalar* ad = a.data();
+  const Scalar* bd = b.data();
+  Scalar* od = out->data();
 
   if (b.rank() == 2) {
     // Shared right matrix: collapse all leading axes of `a` into rows and
@@ -134,7 +109,7 @@ void MatMulCompute(const Tensor& a, const Tensor& b, Tensor* out, int64_t m,
                   num_batches * m * k * n >= internal::kMatMulParallelMinFlops;
   auto run_batches = [&](int64_t lo, int64_t hi) {
     for (int64_t batch_idx = lo; batch_idx < hi; ++batch_idx) {
-      internal::SerialMatMul(ad + a_offsets[static_cast<size_t>(batch_idx)],
+      simd::MatMulF64(ad + a_offsets[static_cast<size_t>(batch_idx)],
                              bd + b_offsets[static_cast<size_t>(batch_idx)],
                              od + batch_idx * m * n, m, k, n, n);
     }
@@ -160,22 +135,14 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   EMAF_CHECK_EQ(k, k2) << "MatMul inner dimension mismatch: "
                        << a.shape().ToString() << " x " << b.shape().ToString();
 
-  EMAF_CHECK(a.dtype() == b.dtype())
-      << "MatMul on " << DTypeName(a.dtype()) << " and "
-      << DTypeName(b.dtype());
   Shape a_batch = BatchShape(a.shape());
   Shape b_batch = BatchShape(b.shape());
   Shape batch = BroadcastShapes(a_batch, b_batch);
   std::vector<int64_t> out_dims = batch.dims();
   out_dims.push_back(m);
   out_dims.push_back(n);
-  Tensor out = Tensor::Zeros(Shape(out_dims), a.dtype());
-
-  if (a.dtype() == DType::kF32) {
-    MatMulCompute<float>(a, b, &out, m, k, n, a_batch, b_batch, batch);
-  } else {
-    MatMulCompute<Scalar>(a, b, &out, m, k, n, a_batch, b_batch, batch);
-  }
+  Tensor out = Tensor::Zeros(Shape(out_dims));
+  MatMulCompute(a, b, &out, m, k, n, a_batch, b_batch, batch);
 
   if (plan_hook::Active()) {
     plan_hook::Record(plan_hook::OpKind::kMatMul, {a, b}, out);

@@ -16,15 +16,14 @@ namespace internal {
 
 namespace {
 
-template <typename T>
 void SumToAccumulate(const Tensor& x, Tensor* out,
                      const std::vector<int64_t>& t_strides) {
   const Shape& xs = x.shape();
   const std::vector<int64_t>& dims = xs.dims();
   int64_t rank = xs.rank();
   std::vector<int64_t> index(rank, 0);
-  const T* xd = x.template data<T>();
-  T* od = out->template data<T>();
+  const Scalar* xd = x.data();
+  Scalar* od = out->data();
   int64_t n = xs.NumElements();
   int64_t off = 0;
   for (int64_t i = 0; i < n; ++i) {
@@ -51,13 +50,8 @@ Tensor SumTo(const Tensor& x, const Shape& target) {
   EMAF_CHECK(IsBroadcastableTo(target, x.shape()))
       << "cannot sum-reduce " << x.shape().ToString() << " to "
       << target.ToString();
-  Tensor out = Tensor::Zeros(target, x.dtype());
-  std::vector<int64_t> t_strides = BroadcastStrides(target, x.shape());
-  if (x.dtype() == DType::kF32) {
-    SumToAccumulate<float>(x, &out, t_strides);
-  } else {
-    SumToAccumulate<Scalar>(x, &out, t_strides);
-  }
+  Tensor out = Tensor::Zeros(target);
+  SumToAccumulate(x, &out, BroadcastStrides(target, x.shape()));
   if (ph::Active()) {
     ph::Record({ph::OpKind::kSumTo, {x}, out, 0.0, 0.0, target.dims()});
   }
@@ -135,17 +129,16 @@ void OuterInner(const Shape& shape, int64_t dim, int64_t* outer, int64_t* d,
 
 enum class ExtremeKind { kMax, kMin };
 
-template <typename T>
 void ExtremeScan(const Tensor& x, Tensor* values, std::vector<int64_t>* arg,
                  int64_t outer, int64_t d, int64_t inner, ExtremeKind kind) {
-  const T* xd = x.data<T>();
-  T* vd = values->data<T>();
+  const Scalar* xd = x.data();
+  Scalar* vd = values->data();
   for (int64_t o = 0; o < outer; ++o) {
     for (int64_t i = 0; i < inner; ++i) {
       int64_t best_k = 0;
-      T best = xd[(o * d) * inner + i];
+      Scalar best = xd[(o * d) * inner + i];
       for (int64_t k = 1; k < d; ++k) {
-        T v = xd[(o * d + k) * inner + i];
+        Scalar v = xd[(o * d + k) * inner + i];
         bool better = kind == ExtremeKind::kMax ? v > best : v < best;
         if (better) {
           best = v;
@@ -167,14 +160,10 @@ Tensor Extreme(const Tensor& x, int64_t dim, bool keepdim, ExtremeKind kind) {
   EMAF_CHECK_GT(d, 0) << "reduction over empty axis";
 
   Shape keep = KeepShape(x.shape(), {axis});
-  Tensor values = MakeUninitialized(keep, x.dtype());
+  Tensor values = MakeUninitialized(keep);
   auto arg = std::make_shared<std::vector<int64_t>>(
       static_cast<size_t>(outer * inner));
-  if (x.dtype() == DType::kF32) {
-    ExtremeScan<float>(x, &values, arg.get(), outer, d, inner, kind);
-  } else {
-    ExtremeScan<Scalar>(x, &values, arg.get(), outer, d, inner, kind);
-  }
+  ExtremeScan(x, &values, arg.get(), outer, d, inner, kind);
 
   Shape out_shape = keepdim ? keep : DropShape(x.shape(), {axis});
   Tensor out = Reshape(values, out_shape);
@@ -202,33 +191,31 @@ Tensor Extreme(const Tensor& x, int64_t dim, bool keepdim, ExtremeKind kind) {
   return out;
 }
 
-template <typename T>
 void ArgMaxScan(const Tensor& x, Tensor* out, int64_t outer, int64_t d,
                 int64_t inner) {
-  const T* xd = x.data<T>();
-  T* od = out->data<T>();
+  const Scalar* xd = x.data();
+  Scalar* od = out->data();
   for (int64_t o = 0; o < outer; ++o) {
     for (int64_t i = 0; i < inner; ++i) {
       int64_t best_k = 0;
-      T best = xd[(o * d) * inner + i];
+      Scalar best = xd[(o * d) * inner + i];
       for (int64_t k = 1; k < d; ++k) {
-        T v = xd[(o * d + k) * inner + i];
+        Scalar v = xd[(o * d + k) * inner + i];
         if (v > best) {
           best = v;
           best_k = k;
         }
       }
-      od[o * inner + i] = static_cast<T>(best_k);
+      od[o * inner + i] = static_cast<Scalar>(best_k);
     }
   }
 }
 
-template <typename T>
 void TopKMaskCompute(const Tensor& x, Tensor* mask, int64_t k, int64_t outer,
                      int64_t d, int64_t inner) {
-  const T* xd = x.data<T>();
-  T* md = mask->data<T>();
-  std::vector<std::pair<T, int64_t>> slice(static_cast<size_t>(d));
+  const Scalar* xd = x.data();
+  Scalar* md = mask->data();
+  std::vector<std::pair<Scalar, int64_t>> slice(static_cast<size_t>(d));
   for (int64_t o = 0; o < outer; ++o) {
     for (int64_t i = 0; i < inner; ++i) {
       for (int64_t j = 0; j < d; ++j) {
@@ -241,7 +228,7 @@ void TopKMaskCompute(const Tensor& x, Tensor* mask, int64_t k, int64_t outer,
                          return a.second < b.second;
                        });
       for (int64_t j = 0; j < k; ++j) {
-        md[(o * d + slice[j].second) * inner + i] = T(1);
+        md[(o * d + slice[j].second) * inner + i] = 1.0;
       }
     }
   }
@@ -250,19 +237,12 @@ void TopKMaskCompute(const Tensor& x, Tensor* mask, int64_t k, int64_t outer,
 }  // namespace
 
 Tensor Sum(const Tensor& x) {
-  Tensor out = Tensor::Zeros(Shape{}, x.dtype());
+  Tensor out = Tensor::Zeros(Shape{});
   const int64_t emaf_n = x.NumElements();
-  if (x.dtype() == DType::kF32) {
-    const float* xd = x.data<float>();
-    float acc = 0.0f;
-    for (int64_t i = 0; i < emaf_n; ++i) acc += xd[i];
-    out.data<float>()[0] = acc;
-  } else {
-    const Scalar* xd = x.data();
-    Scalar acc = 0.0;
-    for (int64_t i = 0; i < emaf_n; ++i) acc += xd[i];
-    out.data()[0] = acc;
-  }
+  const Scalar* xd = x.data();
+  Scalar acc = 0.0;
+  for (int64_t i = 0; i < emaf_n; ++i) acc += xd[i];
+  out.data()[0] = acc;
   if (ShouldRecord({x})) {
     Shape x_shape = x.shape();
     SetGradFn(&out, "Sum", {x}, [x_shape](const Tensor& g) {
@@ -304,18 +284,11 @@ Tensor Sum(const Tensor& x, const std::vector<int64_t>& dims, bool keepdim) {
 Tensor Mean(const Tensor& x) {
   int64_t n = x.NumElements();
   EMAF_CHECK_GT(n, 0);
-  Tensor out = Tensor::Zeros(Shape{}, x.dtype());
-  if (x.dtype() == DType::kF32) {
-    const float* xd = x.data<float>();
-    float acc = 0.0f;
-    for (int64_t i = 0; i < n; ++i) acc += xd[i];
-    out.data<float>()[0] = acc / static_cast<float>(n);
-  } else {
-    const Scalar* xd = x.data();
-    Scalar acc = 0.0;
-    for (int64_t i = 0; i < n; ++i) acc += xd[i];
-    out.data()[0] = acc / static_cast<Scalar>(n);
-  }
+  Tensor out = Tensor::Zeros(Shape{});
+  const Scalar* xd = x.data();
+  Scalar acc = 0.0;
+  for (int64_t i = 0; i < n; ++i) acc += xd[i];
+  out.data()[0] = acc / static_cast<Scalar>(n);
   if (ShouldRecord({x})) {
     Shape x_shape = x.shape();
     SetGradFn(&out, "Mean", {x}, [x_shape, n](const Tensor& g) {
@@ -352,12 +325,8 @@ Tensor ArgMax(const Tensor& x, int64_t dim, bool keepdim) {
   EMAF_CHECK_GT(d, 0);
   Shape keep = KeepShape(x.shape(), {axis});
   Shape out_shape = keepdim ? keep : DropShape(x.shape(), {axis});
-  Tensor out = Tensor::Zeros(out_shape, x.dtype());
-  if (x.dtype() == DType::kF32) {
-    ArgMaxScan<float>(x, &out, outer, d, inner);
-  } else {
-    ArgMaxScan<Scalar>(x, &out, outer, d, inner);
-  }
+  Tensor out = Tensor::Zeros(out_shape);
+  ArgMaxScan(x, &out, outer, d, inner);
   return out;
 }
 
@@ -368,29 +337,18 @@ Tensor TopKMask(const Tensor& x, int64_t k, int64_t dim) {
   int64_t d;
   int64_t inner;
   OuterInner(x.shape(), axis, &outer, &d, &inner);
-  Tensor mask = Tensor::Zeros(x.shape(), x.dtype());
+  Tensor mask = Tensor::Zeros(x.shape());
   if (k >= d) {
     mask.Fill(1.0);
     return mask;
   }
   if (k == 0) return mask;
-  if (x.dtype() == DType::kF32) {
-    TopKMaskCompute<float>(x, &mask, k, outer, d, inner);
-  } else {
-    TopKMaskCompute<Scalar>(x, &mask, k, outer, d, inner);
-  }
+  TopKMaskCompute(x, &mask, k, outer, d, inner);
   return mask;
 }
 
 bool HasNonFinite(const Tensor& x) {
   int64_t n = x.NumElements();
-  if (x.dtype() == DType::kF32) {
-    const float* d = x.data<float>();
-    for (int64_t i = 0; i < n; ++i) {
-      if (!std::isfinite(d[i])) return true;
-    }
-    return false;
-  }
   const Scalar* d = x.data();
   for (int64_t i = 0; i < n; ++i) {
     if (!std::isfinite(d[i])) return true;

@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <cstddef>
-#include <cstring>
 
 #include "tensor/op_common.h"
 #include "tensor/ops.h"
@@ -16,14 +15,13 @@ namespace ph = plan_hook;
 // `in_strides` (aligned to out_shape axes). Shared by Permute/BroadcastTo.
 // The innermost axis is copied as one (possibly strided) run per outer
 // index; an odometer over the outer axes tracks each run's start.
-template <typename T>
-Tensor StridedCopyT(const Tensor& x, const Shape& out_shape,
-                    const std::vector<int64_t>& in_strides) {
-  Tensor out = MakeUninitialized(out_shape, x.dtype());
+Tensor StridedCopy(const Tensor& x, const Shape& out_shape,
+                   const std::vector<int64_t>& in_strides) {
+  Tensor out = MakeUninitialized(out_shape);
   const std::vector<int64_t>& dims = out_shape.dims();
   const int64_t rank = out_shape.rank();
-  const T* xd = x.data<T>();
-  T* od = out.data<T>();
+  const Scalar* xd = x.data();
+  Scalar* od = out.data();
   if (rank == 0) {
     od[0] = xd[0];
     return out;
@@ -34,8 +32,8 @@ Tensor StridedCopyT(const Tensor& x, const Shape& out_shape,
   std::vector<int64_t> index(rank, 0);
   int64_t off = 0;
   for (int64_t r = 0; r < runs; ++r) {
-    const T* src = xd + off;
-    T* dst = od + r * run;
+    const Scalar* src = xd + off;
+    Scalar* dst = od + r * run;
     if (step == 1) {
       std::copy(src, src + run, dst);
     } else {
@@ -49,14 +47,6 @@ Tensor StridedCopyT(const Tensor& x, const Shape& out_shape,
     }
   }
   return out;
-}
-
-Tensor StridedCopy(const Tensor& x, const Shape& out_shape,
-                   const std::vector<int64_t>& in_strides) {
-  if (x.dtype() == DType::kF32) {
-    return StridedCopyT<float>(x, out_shape, in_strides);
-  }
-  return StridedCopyT<Scalar>(x, out_shape, in_strides);
 }
 
 std::vector<int64_t> InversePerm(const std::vector<int64_t>& perm) {
@@ -74,7 +64,6 @@ Tensor Reshape(const Tensor& x, const Shape& shape) {
       << "reshape " << x.shape().ToString() << " -> " << shape.ToString();
   auto impl = std::make_shared<TensorImpl>();
   impl->shape = shape;
-  impl->dtype = x.impl()->dtype;
   impl->storage = x.impl()->storage;  // view: same data
   Tensor out(std::move(impl));
   if (ph::Active()) {
@@ -169,14 +158,12 @@ Tensor Slice(const Tensor& x, int64_t dim, int64_t start, int64_t end) {
 
   std::vector<int64_t> out_dims = xs.dims();
   out_dims[axis] = len;
-  Tensor out = MakeUninitialized(Shape(out_dims), x.dtype());
-  const int64_t esize = DTypeSize(x.dtype());
-  const std::byte* xd = static_cast<const std::byte*>(x.raw_data());
-  std::byte* od = static_cast<std::byte*>(out.raw_data());
+  Tensor out = MakeUninitialized(Shape(out_dims));
+  const Scalar* xd = x.data();
+  Scalar* od = out.data();
   for (int64_t o = 0; o < outer; ++o) {
-    const std::byte* src = xd + (o * d + start) * inner * esize;
-    std::byte* dst = od + o * len * inner * esize;
-    std::memcpy(dst, src, static_cast<size_t>(len * inner * esize));
+    const Scalar* src = xd + (o * d + start) * inner;
+    std::copy(src, src + len * inner, od + o * len * inner);
   }
   if (ph::Active()) {
     ph::Record({ph::OpKind::kSlice, {x}, out, 0.0, 0.0, {axis, start, end}});
@@ -221,30 +208,24 @@ Tensor Cat(const std::vector<Tensor>& tensors, int64_t dim) {
     }
     total += t.shape().dim(axis);
   }
-  for (const Tensor& t : tensors) {
-    EMAF_CHECK(t.dtype() == tensors[0].dtype())
-        << "Cat inputs must share a dtype";
-  }
   std::vector<int64_t> out_dims = first.dims();
   out_dims[axis] = total;
   Shape out_shape(out_dims);
-  Tensor out = MakeUninitialized(out_shape, tensors[0].dtype());
+  Tensor out = MakeUninitialized(out_shape);
 
   int64_t outer = 1;
   int64_t inner = 1;
   for (int64_t i = 0; i < axis; ++i) outer *= first.dim(i);
   for (int64_t i = axis + 1; i < first.rank(); ++i) inner *= first.dim(i);
 
-  const int64_t esize = DTypeSize(out.dtype());
-  std::byte* od = static_cast<std::byte*>(out.raw_data());
+  Scalar* od = out.data();
   int64_t written = 0;
   for (const Tensor& t : tensors) {
     int64_t len = t.shape().dim(axis);
-    const std::byte* td = static_cast<const std::byte*>(t.raw_data());
+    const Scalar* td = t.data();
     for (int64_t o = 0; o < outer; ++o) {
-      const std::byte* src = td + o * len * inner * esize;
-      std::byte* dst = od + (o * total + written) * inner * esize;
-      std::memcpy(dst, src, static_cast<size_t>(len * inner * esize));
+      const Scalar* src = td + o * len * inner;
+      std::copy(src, src + len * inner, od + (o * total + written) * inner);
     }
     written += len;
   }
@@ -290,16 +271,15 @@ Tensor Pad(const Tensor& x,
     out_dims[i] = xs.dim(i) + padding[i].first + padding[i].second;
   }
   Shape out_shape(out_dims);
-  Tensor out = Tensor::Zeros(out_shape, x.dtype());
+  Tensor out = Tensor::Zeros(out_shape);
 
   // Copy x into the interior region via odometer over x indices.
   std::vector<int64_t> out_strides = out_shape.Strides();
   const std::vector<int64_t>& dims = xs.dims();
   int64_t rank = xs.rank();
   std::vector<int64_t> index(rank, 0);
-  const int64_t esize = DTypeSize(x.dtype());
-  const std::byte* xd = static_cast<const std::byte*>(x.raw_data());
-  std::byte* od = static_cast<std::byte*>(out.raw_data());
+  const Scalar* xd = x.data();
+  Scalar* od = out.data();
   int64_t base = 0;
   for (int64_t i = 0; i < rank; ++i) base += padding[i].first * out_strides[i];
   int64_t n = xs.NumElements();
@@ -308,8 +288,7 @@ Tensor Pad(const Tensor& x,
   int64_t rows = n / row;
   int64_t off = base;
   for (int64_t r = 0; r < rows; ++r) {
-    std::memcpy(od + off * esize, xd + r * row * esize,
-                static_cast<size_t>(row * esize));
+    std::copy(xd + r * row, xd + (r + 1) * row, od + off);
     for (int64_t axis = rank - 2; axis >= 0; --axis) {
       off += out_strides[axis];
       if (++index[axis] < dims[axis]) break;

@@ -1,6 +1,6 @@
 // Matmul kernel arms. The emaf target builds with -ffp-contract=off
 // (src/CMakeLists.txt), so every FMA below is one we wrote explicitly; see
-// simd.h for the bitwise SIMD-vs-scalar contract each pair of arms upholds.
+// simd.h for the bitwise SIMD-vs-scalar contract the two arms uphold.
 
 #include "tensor/simd.h"
 
@@ -11,8 +11,8 @@
 
 #include "common/env.h"
 
-// The AVX2 arms are compiled for AVX2+FMA whatever -march says and only
-// ever run after Enabled() has confirmed the CPU supports both.
+// The AVX2 arm is compiled for AVX2+FMA whatever -march says and only
+// ever runs after Enabled() has confirmed the CPU supports both.
 #define EMAF_TARGET_AVX2 __attribute__((target("avx2,fma")))
 
 namespace emaf::tensor::simd {
@@ -27,95 +27,6 @@ bool ProbeEnabled() {
 // -1 = not yet probed; tests overwrite via SetEnabledForTest.
 std::atomic<int> g_enabled{-1};
 
-// --- f32 arms ------------------------------------------------------------
-//
-// Both arms produce, for every element C[i][j], the chain
-//   for kk in 0..k: C[i][j] = fmaf(A[i][kk], B[kk][j], C[i][j])
-// in increasing kk order — the SIMD arm's 4-row / 8-lane blocking only
-// reorders *which element* is updated next, never the per-element chain.
-
-void MatMulF32Scalar(const float* __restrict__ a, const float* __restrict__ b,
-                     float* __restrict__ c, int64_t m, int64_t k, int64_t n,
-                     int64_t ld) {
-  for (int64_t i = 0; i < m; ++i) {
-    const float* ai = a + i * k;
-    float* ci = c + i * ld;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float v = ai[kk];
-      const float* brow = b + kk * ld;
-      for (int64_t j = 0; j < n; ++j) {
-        ci[j] = std::fmaf(v, brow[j], ci[j]);
-      }
-    }
-  }
-}
-
-EMAF_TARGET_AVX2
-void MatMulF32Avx2(const float* __restrict__ a, const float* __restrict__ b,
-                   float* __restrict__ c, int64_t m, int64_t k, int64_t n,
-                   int64_t ld) {
-  int64_t i = 0;
-  // 4 rows of C per pass share each loaded row of B.
-  for (; i + 4 <= m; i += 4) {
-    const float* a0 = a + (i + 0) * k;
-    const float* a1 = a + (i + 1) * k;
-    const float* a2 = a + (i + 2) * k;
-    const float* a3 = a + (i + 3) * k;
-    float* c0 = c + (i + 0) * ld;
-    float* c1 = c + (i + 1) * ld;
-    float* c2 = c + (i + 2) * ld;
-    float* c3 = c + (i + 3) * ld;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float v0 = a0[kk];
-      const float v1 = a1[kk];
-      const float v2 = a2[kk];
-      const float v3 = a3[kk];
-      const __m256 w0 = _mm256_set1_ps(v0);
-      const __m256 w1 = _mm256_set1_ps(v1);
-      const __m256 w2 = _mm256_set1_ps(v2);
-      const __m256 w3 = _mm256_set1_ps(v3);
-      const float* brow = b + kk * ld;
-      int64_t j = 0;
-      for (; j + 8 <= n; j += 8) {
-        const __m256 bv = _mm256_loadu_ps(brow + j);
-        _mm256_storeu_ps(c0 + j,
-                         _mm256_fmadd_ps(w0, bv, _mm256_loadu_ps(c0 + j)));
-        _mm256_storeu_ps(c1 + j,
-                         _mm256_fmadd_ps(w1, bv, _mm256_loadu_ps(c1 + j)));
-        _mm256_storeu_ps(c2 + j,
-                         _mm256_fmadd_ps(w2, bv, _mm256_loadu_ps(c2 + j)));
-        _mm256_storeu_ps(c3 + j,
-                         _mm256_fmadd_ps(w3, bv, _mm256_loadu_ps(c3 + j)));
-      }
-      for (; j < n; ++j) {
-        c0[j] = std::fmaf(v0, brow[j], c0[j]);
-        c1[j] = std::fmaf(v1, brow[j], c1[j]);
-        c2[j] = std::fmaf(v2, brow[j], c2[j]);
-        c3[j] = std::fmaf(v3, brow[j], c3[j]);
-      }
-    }
-  }
-  for (; i < m; ++i) {
-    const float* ai = a + i * k;
-    float* ci = c + i * ld;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float v = ai[kk];
-      const float* brow = b + kk * ld;
-      int64_t j = 0;
-      const __m256 w = _mm256_set1_ps(v);
-      for (; j + 8 <= n; j += 8) {
-        _mm256_storeu_ps(ci + j, _mm256_fmadd_ps(w, _mm256_loadu_ps(brow + j),
-                                                 _mm256_loadu_ps(ci + j)));
-      }
-      for (; j < n; ++j) {
-        ci[j] = std::fmaf(v, brow[j], ci[j]);
-      }
-    }
-  }
-}
-
-// --- f64 arms ------------------------------------------------------------
-//
 // Both arms produce, for every element C[i][j], the chain
 //   for kk in 0..k: C[i][j] = fma(A[i][kk], B[kk][j], C[i][j])
 // in increasing kk order, minus the skipped steps: in a 4-row group kk is
@@ -276,15 +187,6 @@ bool SetEnabledForTest(bool enabled) {
   g_enabled.store(enabled ? (ProbeEnabled() ? 1 : 0) : 0,
                   std::memory_order_relaxed);
   return Enabled();
-}
-
-void MatMulF32(const float* a, const float* b, float* c, int64_t m, int64_t k,
-               int64_t n, int64_t ld) {
-  if (Enabled()) {
-    MatMulF32Avx2(a, b, c, m, k, n, ld);
-  } else {
-    MatMulF32Scalar(a, b, c, m, k, n, ld);
-  }
 }
 
 void MatMulF64(const double* a, const double* b, double* c, int64_t m,

@@ -12,11 +12,11 @@ namespace emaf::tensor {
 
 namespace {
 
-std::shared_ptr<TensorImpl> NewImpl(const Shape& shape, DType dtype) {
+std::shared_ptr<TensorImpl> NewImpl(const Shape& shape) {
   auto impl = std::make_shared<TensorImpl>();
   impl->shape = shape;
-  impl->dtype = dtype;
-  const int64_t bytes = shape.NumElements() * DTypeSize(dtype);
+  const int64_t bytes =
+      shape.NumElements() * static_cast<int64_t>(sizeof(Scalar));
   if (InferenceArena* arena = CurrentArena()) {
     // Serving path: recycle a pooled buffer of matching byte count instead
     // of heap-allocating (DESIGN.md, "Serving layer"). Recycled buffers
@@ -30,44 +30,27 @@ std::shared_ptr<TensorImpl> NewImpl(const Shape& shape, DType dtype) {
   return impl;
 }
 
-// Reads element i of a buffer whose element type is `dtype`, as Scalar.
-inline Scalar LoadElement(const void* data, DType dtype, int64_t i) {
-  if (dtype == DType::kF64) return static_cast<const double*>(data)[i];
-  return static_cast<Scalar>(static_cast<const float*>(data)[i]);
-}
-
-// Writes element i of a buffer whose element type is `dtype`.
-inline void StoreElement(void* data, DType dtype, int64_t i, Scalar value) {
-  if (dtype == DType::kF64) {
-    static_cast<double*>(data)[i] = value;
-  } else {
-    static_cast<float*>(data)[i] = static_cast<float>(value);
-  }
-}
-
 }  // namespace
 
-Tensor MakeUninitialized(const Shape& shape, DType dtype) {
-  return Tensor(NewImpl(shape, dtype));
+Tensor MakeUninitialized(const Shape& shape) {
+  return Tensor(NewImpl(shape));
 }
 
-Tensor Tensor::Zeros(const Shape& shape, DType dtype) {
-  Tensor t = MakeUninitialized(shape, dtype);
+Tensor Tensor::Zeros(const Shape& shape) {
+  Tensor t = MakeUninitialized(shape);
   // A fresh byte vector is value-initialized to all-zero bytes (which is
-  // 0.0 in both element types), so the heap path is already zero; an arena
-  // buffer is recycled and must be cleared.
+  // 0.0), so the heap path is already zero; an arena buffer is recycled
+  // and must be cleared.
   if (CurrentArena() != nullptr) {
     std::memset(t.raw_data(), 0, static_cast<size_t>(t.byte_size()));
   }
   return t;
 }
 
-Tensor Tensor::Ones(const Shape& shape, DType dtype) {
-  return Full(shape, 1.0, dtype);
-}
+Tensor Tensor::Ones(const Shape& shape) { return Full(shape, 1.0); }
 
-Tensor Tensor::Full(const Shape& shape, Scalar value, DType dtype) {
-  Tensor t = MakeUninitialized(shape, dtype);
+Tensor Tensor::Full(const Shape& shape, Scalar value) {
+  Tensor t = MakeUninitialized(shape);
   t.Fill(value);
   return t;
 }
@@ -141,30 +124,15 @@ const Shape& Tensor::shape() const {
   return impl_->shape;
 }
 
-DType Tensor::dtype() const {
-  EMAF_CHECK(defined());
-  return impl_->dtype;
-}
-
 int64_t Tensor::byte_size() const {
   EMAF_CHECK(defined());
   return static_cast<int64_t>(impl_->storage->size());
 }
 
-void* Tensor::CheckedRawData(DType expected) const {
-  EMAF_CHECK(defined());
-  EMAF_CHECK(impl_->dtype == expected)
-      << "tensor is " << DTypeName(impl_->dtype) << ", accessed as "
-      << DTypeName(expected);
-  return impl_->storage->data();
-}
-
-Scalar* Tensor::data() {
-  return static_cast<Scalar*>(CheckedRawData(DType::kF64));
-}
+Scalar* Tensor::data() { return static_cast<Scalar*>(raw_data()); }
 
 const Scalar* Tensor::data() const {
-  return static_cast<const Scalar*>(CheckedRawData(DType::kF64));
+  return static_cast<const Scalar*>(raw_data());
 }
 
 void* Tensor::raw_data() {
@@ -187,7 +155,7 @@ Scalar Tensor::At(const std::vector<int64_t>& index) const {
     EMAF_CHECK_LT(index[i], s.dim(i));
     offset += index[i] * strides[i];
   }
-  return LoadElement(raw_data(), dtype(), offset);
+  return data()[offset];
 }
 
 void Tensor::Set(const std::vector<int64_t>& index, Scalar value) {
@@ -200,41 +168,31 @@ void Tensor::Set(const std::vector<int64_t>& index, Scalar value) {
     EMAF_CHECK_LT(index[i], s.dim(i));
     offset += index[i] * strides[i];
   }
-  StoreElement(raw_data(), dtype(), offset, value);
+  data()[offset] = value;
 }
 
 Scalar Tensor::item() const {
   EMAF_CHECK_EQ(NumElements(), 1);
-  return LoadElement(raw_data(), dtype(), 0);
+  return data()[0];
 }
 
 std::vector<Scalar> Tensor::ToVector() const {
   EMAF_CHECK(defined());
-  const int64_t n = NumElements();
-  std::vector<Scalar> out(static_cast<size_t>(n));
-  const void* d = raw_data();
-  for (int64_t i = 0; i < n; ++i) out[i] = LoadElement(d, dtype(), i);
-  return out;
+  const Scalar* d = data();
+  return std::vector<Scalar>(d, d + NumElements());
 }
 
 void Tensor::Fill(Scalar value) {
   const int64_t n = NumElements();
-  void* d = raw_data();
-  if (dtype() == DType::kF64) {
-    double* p = static_cast<double*>(d);
-    for (int64_t i = 0; i < n; ++i) p[i] = value;
-  } else {
-    float* p = static_cast<float*>(d);
-    const float v = static_cast<float>(value);
-    for (int64_t i = 0; i < n; ++i) p[i] = v;
-  }
+  Scalar* d = data();
+  for (int64_t i = 0; i < n; ++i) d[i] = value;
 }
 
 Tensor Tensor::Clone() const {
   EMAF_CHECK(defined());
   // Copies through MakeUninitialized (not FromVector) so clones made under
   // an active ArenaScope reuse pooled storage instead of heap-allocating.
-  Tensor out = MakeUninitialized(shape(), dtype());
+  Tensor out = MakeUninitialized(shape());
   std::memcpy(out.raw_data(), raw_data(), static_cast<size_t>(byte_size()));
   return out;
 }
@@ -243,26 +201,8 @@ Tensor Tensor::Detach() const {
   EMAF_CHECK(defined());
   auto impl = std::make_shared<TensorImpl>();
   impl->shape = impl_->shape;
-  impl->dtype = impl_->dtype;
   impl->storage = impl_->storage;  // shares data
   return Tensor(std::move(impl));
-}
-
-Tensor Tensor::CastTo(DType dtype) const {
-  EMAF_CHECK(defined());
-  if (dtype == impl_->dtype) return *this;
-  Tensor out = MakeUninitialized(shape(), dtype);
-  const int64_t n = NumElements();
-  if (dtype == DType::kF32) {
-    const double* src = data<double>();
-    float* dst = out.data<float>();
-    for (int64_t i = 0; i < n; ++i) dst[i] = static_cast<float>(src[i]);
-  } else {
-    const float* src = data<float>();
-    double* dst = out.data<double>();
-    for (int64_t i = 0; i < n; ++i) dst[i] = static_cast<double>(src[i]);
-  }
-  return out;
 }
 
 Tensor& Tensor::SetRequiresGrad(bool requires_grad) {
@@ -303,10 +243,10 @@ std::string Tensor::ToString() const {
   constexpr int64_t kMaxPrinted = 64;
   if (NumElements() <= kMaxPrinted) {
     out << " {";
-    const void* d = raw_data();
+    const Scalar* d = data();
     for (int64_t i = 0; i < NumElements(); ++i) {
       if (i > 0) out << ", ";
-      out << LoadElement(d, dtype(), i);
+      out << d[i];
     }
     out << "}";
   }

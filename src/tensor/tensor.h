@@ -1,17 +1,10 @@
-// Tensor: contiguous row-major N-d array with a runtime element type
-// (DType: f64 for training and the default serving path, f32 for the
-// opt-in inference path) and tape-based reverse-mode autodiff.
+// Tensor: contiguous row-major N-d array of f64 (`Scalar`) with
+// tape-based reverse-mode autodiff.
 //
 // A Tensor is a cheap handle (shared_ptr) onto a TensorImpl. Math lives in
 // free functions (tensor/ops.h); each differentiable op records a GradFn
 // node so `loss.Backward()` can later accumulate gradients into every leaf
 // created with requires_grad — see tensor/autograd.h.
-//
-// Storage is a raw byte buffer tagged with a DType. The checked non-
-// template data() accessors are the f64 fast path every pre-dtype call
-// site uses (they CHECK the tensor is f64); dtype-generic code reads
-// through data<T>() or raw_data(). Gradients are always f64 — autograd
-// never runs on f32 tensors.
 //
 // Tensors are always contiguous; Reshape shares storage, every other shape
 // op copies. No in-place differentiable ops exist: optimizers mutate
@@ -39,7 +32,6 @@ struct GradFn;  // defined in tensor/autograd.h
 // Internal representation. Treat as private to the tensor subsystem.
 struct TensorImpl {
   Shape shape;
-  DType dtype = DType::kF64;
   std::shared_ptr<std::vector<std::byte>> storage;
   bool requires_grad = false;
   // Non-null for op outputs that participate in the autodiff graph.
@@ -54,10 +46,9 @@ class Tensor {
   Tensor() = default;
 
   // --- Factories -----------------------------------------------------------
-  static Tensor Zeros(const Shape& shape, DType dtype = DType::kF64);
-  static Tensor Ones(const Shape& shape, DType dtype = DType::kF64);
-  static Tensor Full(const Shape& shape, Scalar value,
-                     DType dtype = DType::kF64);
+  static Tensor Zeros(const Shape& shape);
+  static Tensor Ones(const Shape& shape);
+  static Tensor Full(const Shape& shape, Scalar value);
   static Tensor FromVector(const Shape& shape, std::vector<Scalar> values);
   static Tensor FromScalar(Scalar value);  // rank-0
   static Tensor Eye(int64_t n);
@@ -70,32 +61,22 @@ class Tensor {
   // --- Introspection -------------------------------------------------------
   bool defined() const { return impl_ != nullptr; }
   const Shape& shape() const;
-  DType dtype() const;
+  // Always kF64; kept for callers that still check it.
+  DType dtype() const { return DType::kF64; }
   int64_t rank() const { return shape().rank(); }
   int64_t dim(int64_t axis) const { return shape().DimChecked(axis); }
   int64_t NumElements() const { return shape().NumElements(); }
-  // NumElements() * DTypeSize(dtype()): the in-memory payload size.
+  // NumElements() * sizeof(Scalar): the in-memory payload size.
   int64_t byte_size() const;
   std::string ToString() const;  // shape + values (small tensors only)
 
   // --- Data access ---------------------------------------------------------
-  // f64 accessors (CHECK dtype() == kF64): the path every pre-dtype call
-  // site compiles against unchanged.
   Scalar* data();
   const Scalar* data() const;
-  // Typed accessors; CHECK that T matches dtype().
-  template <typename T>
-  T* data() {
-    return static_cast<T*>(CheckedRawData(DTypeOf<T>::value));
-  }
-  template <typename T>
-  const T* data() const {
-    return static_cast<const T*>(CheckedRawData(DTypeOf<T>::value));
-  }
-  // Untyped storage pointer (any dtype); size is byte_size().
+  // Untyped storage pointer; size is byte_size().
   void* raw_data();
   const void* raw_data() const;
-  // Element by multi-index (converted through Scalar for any dtype).
+  // Element by multi-index.
   Scalar At(const std::vector<int64_t>& index) const;
   void Set(const std::vector<int64_t>& index, Scalar value);
   // Value of a single-element tensor.
@@ -107,9 +88,6 @@ class Tensor {
   Tensor Clone() const;
   // Same storage, detached from the graph (no grad_fn, requires_grad off).
   Tensor Detach() const;
-  // Converting copy to `dtype` (a leaf outside the graph); returns *this
-  // unchanged when the dtype already matches.
-  Tensor CastTo(DType dtype) const;
 
   // --- Autograd ------------------------------------------------------------
   Tensor& SetRequiresGrad(bool requires_grad);
@@ -127,13 +105,11 @@ class Tensor {
   const std::shared_ptr<TensorImpl>& impl() const { return impl_; }
 
  private:
-  void* CheckedRawData(DType expected) const;
-
   std::shared_ptr<TensorImpl> impl_;
 };
 
 // Creates a defined tensor with uninitialized storage (ops use this).
-Tensor MakeUninitialized(const Shape& shape, DType dtype = DType::kF64);
+Tensor MakeUninitialized(const Shape& shape);
 
 }  // namespace emaf::tensor
 

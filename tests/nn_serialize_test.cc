@@ -221,44 +221,95 @@ TEST(SerializeTest, RejectsInvalidDtypeByte) {
       << status.message();
 }
 
-// An f32 module round-trips through v3 natively (dtype byte 1, 4-byte
-// payload), and a dtype mismatch between file and module converts
-// element-wise instead of failing.
-TEST(SerializeTest, DtypeRoundTripAndCrossDtypeLoad) {
-  Rng rng_a(1);
-  SmallNet net_a(&rng_a);
-  net_a.CastTo(tensor::DType::kF32);
-  std::string path = TempPath("f32_roundtrip.emaf");
-  ASSERT_TRUE(SaveParameters(&net_a, path).ok());
-
-  // f32 file -> f32 module: exact bytes back.
-  Rng rng_b(99);
-  SmallNet net_b(&rng_b);
-  net_b.CastTo(tensor::DType::kF32);
-  ASSERT_TRUE(LoadParameters(&net_b, path).ok());
-  std::vector<NamedParameter> pa = net_a.NamedParameters();
-  std::vector<NamedParameter> pb = net_b.NamedParameters();
-  ASSERT_EQ(pa.size(), pb.size());
-  for (size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_EQ(pb[i].value->dtype(), tensor::DType::kF32);
-    EXPECT_EQ(std::memcmp(pa[i].value->raw_data(), pb[i].value->raw_data(),
-                          static_cast<size_t>(pa[i].value->byte_size())),
-              0)
-        << pa[i].name;
+// Start offsets of every parameter record in a snapshot of f64 payloads,
+// followed by the end of the file.
+std::vector<size_t> RecordOffsets(const std::string& bytes) {
+  auto u64 = [&bytes](size_t pos) {
+    uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + pos, sizeof(v));
+    return v;
+  };
+  size_t pos = 8;            // magic + version
+  pos += 8 + u64(pos);       // config
+  const uint64_t count = u64(pos);
+  pos += 8;
+  std::vector<size_t> offsets;
+  for (uint64_t i = 0; i < count; ++i) {
+    offsets.push_back(pos);
+    pos += 8 + u64(pos) + 1;  // name, dtype byte
+    const uint64_t rank = u64(pos);
+    pos += 8;
+    uint64_t numel = 1;
+    for (uint64_t d = 0; d < rank; ++d, pos += 8) numel *= u64(pos);
+    pos += 8 * numel;
   }
+  offsets.push_back(pos);
+  return offsets;
+}
 
-  // f32 file -> f64 module: payload widens; values equal the f32 values.
-  Rng rng_c(7);
-  SmallNet net_c(&rng_c);
-  ASSERT_TRUE(LoadParameters(&net_c, path).ok());
-  std::vector<NamedParameter> pc = net_c.NamedParameters();
-  for (size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_EQ(pc[i].value->dtype(), tensor::DType::kF64);
-    const float* af = pa[i].value->data<float>();
-    const double* cd = pc[i].value->data();
-    for (int64_t j = 0; j < pa[i].value->NumElements(); ++j) {
-      EXPECT_EQ(cd[j], static_cast<double>(af[j])) << pa[i].name;
+// The parameter count still matches the module's when a record repeats a
+// name, so accepting it would leave some other parameter at its initial
+// values.
+TEST(SerializeTest, RejectsRepeatedParameterRecord) {
+  Rng rng(1);
+  SmallNet net(&rng);
+  std::string path = TempPath("repeated_record.emaf");
+  ASSERT_TRUE(SaveParameters(&net, path).ok());
+  const std::string bytes = ReadFileBytes(path);
+  const std::vector<size_t> at = RecordOffsets(bytes);
+  ASSERT_EQ(at.size(), 5u);  // four records, then the end of the file
+  ASSERT_EQ(at.back(), bytes.size());
+  // Record 1 (fc1.bias) becomes a second copy of record 0 (fc1.weight).
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << bytes.substr(0, at[1]) << bytes.substr(at[0], at[1] - at[0])
+      << bytes.substr(at[2]);
+  Status status = LoadParameters(&net, path);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("fc1.weight"), std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find(path), std::string::npos)
+      << status.message();
+}
+
+// A record with dtype byte 1 carries a 4-byte payload, which the reader
+// widens into the f64 parameter. Nothing writes byte 1 any more, so the
+// file is built by hand.
+TEST(SerializeTest, WidensF32PayloadOnLoad) {
+  Rng rng_a(1);
+  SmallNet source(&rng_a);
+  std::string bytes = "EMAF";
+  auto append = [&bytes](const auto& v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  append(kSnapshotVersion);
+  append(uint64_t{0});  // config length
+  std::vector<NamedParameter> params = source.NamedParameters();
+  append(static_cast<uint64_t>(params.size()));
+  std::vector<std::vector<double>> expected;
+  for (const NamedParameter& p : params) {
+    append(static_cast<uint64_t>(p.name.size()));
+    bytes += p.name;
+    append(static_cast<uint8_t>(tensor::DType::kF32));
+    append(static_cast<uint64_t>(p.value->rank()));
+    for (int64_t d : p.value->shape().dims()) append(d);
+    std::vector<double> widened;
+    for (double v : p.value->ToVector()) {
+      const float f = static_cast<float>(v);
+      append(f);
+      widened.push_back(static_cast<double>(f));
     }
+    expected.push_back(widened);
+  }
+  std::string path = TempPath("f32_payload.emaf");
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+
+  Rng rng_b(99);
+  SmallNet net(&rng_b);
+  ASSERT_TRUE(LoadParameters(&net, path).ok());
+  std::vector<NamedParameter> loaded = net.NamedParameters();
+  ASSERT_EQ(loaded.size(), expected.size());
+  for (size_t i = 0; i < loaded.size(); ++i) {
+    EXPECT_EQ(loaded[i].value->ToVector(), expected[i]) << loaded[i].name;
   }
 }
 
