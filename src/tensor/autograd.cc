@@ -12,11 +12,22 @@ namespace {
 
 thread_local int no_grad_depth = 0;
 
-// Adds `delta` into `acc` (initializing `acc` on first use). Shapes must
+// True when `t` is the only handle on its impl and its storage, and is
+// outside the graph: adopting it cannot expose a buffer that another
+// tensor (a view, a tensor a GradFn saved, a caller's handle) still reads.
+bool UniquelyOwned(const Tensor& t) {
+  const std::shared_ptr<TensorImpl>& impl = t.impl();
+  return impl.use_count() == 1 && impl->storage.use_count() == 1 &&
+         impl->grad_fn == nullptr && !impl->requires_grad;
+}
+
+// Adds `delta` into `acc`. On first use `acc` adopts `delta` when nothing
+// else references it, and clones it otherwise, so `acc` always owns its
+// buffer and the in-place add never writes through an alias. Shapes must
 // match exactly; ops are responsible for reducing broadcasts beforehand.
-void AccumulateGrad(Tensor* acc, const Tensor& delta) {
+void AccumulateGrad(Tensor* acc, Tensor delta) {
   if (!acc->defined()) {
-    *acc = delta.Clone();
+    *acc = UniquelyOwned(delta) ? std::move(delta) : delta.Clone();
     return;
   }
   EMAF_CHECK(acc->shape() == delta.shape())
@@ -100,13 +111,16 @@ void RunBackward(const Tensor& root) {
     TensorImpl* impl = *it;
     auto grad_it = grads.find(impl);
     if (grad_it == grads.end()) continue;  // unreachable branch
-    Tensor grad = grad_it->second;
+    // Take this node's gradient out of the map (freeing the entry early),
+    // so that once the backward has run nothing but its results holds it.
+    Tensor grad = std::move(grad_it->second);
+    grads.erase(grad_it);
 
     if (impl->grad_fn == nullptr) {
       if (impl->requires_grad) {
         // Leaf: accumulate into persistent .grad.
         Tensor current = impl->grad == nullptr ? Tensor() : Tensor(impl->grad);
-        AccumulateGrad(&current, grad);
+        AccumulateGrad(&current, std::move(grad));
         impl->grad = current.impl();
       }
       continue;
@@ -114,21 +128,20 @@ void RunBackward(const Tensor& root) {
 
     GradFn* fn = impl->grad_fn.get();
     std::vector<Tensor> input_grads = fn->backward(grad);
+    grad = Tensor();  // a returned view of it may now be adopted
     EMAF_CHECK_EQ(input_grads.size(), fn->inputs.size())
         << "op " << fn->name << " returned wrong number of gradients";
     for (size_t i = 0; i < fn->inputs.size(); ++i) {
       const Tensor& input = fn->inputs[i];
       if (!input.defined() || !input.TracksGrad()) continue;
-      const Tensor& ig = input_grads[i];
+      Tensor& ig = input_grads[i];
       if (!ig.defined()) continue;
       EMAF_CHECK(ig.shape() == input.shape())
           << "op " << fn->name << " produced gradient of shape "
           << ig.shape().ToString() << " for input of shape "
           << input.shape().ToString();
-      AccumulateGrad(&grads[input.impl().get()], ig);
+      AccumulateGrad(&grads[input.impl().get()], std::move(ig));
     }
-    // Free this node's gradient buffer early.
-    grads.erase(grad_it);
   }
 }
 

@@ -23,7 +23,11 @@ struct GradFn {
   // The op's inputs (graph edges point from output to inputs).
   std::vector<Tensor> inputs;
   // Maps d(loss)/d(output) to {d(loss)/d(input_i)}. Entries may be undefined
-  // Tensors for inputs that do not need gradients.
+  // Tensors for inputs that do not need gradients. Ownership rule: a
+  // backward never writes into `grad_output` or into a tensor it returns,
+  // so it may return `grad_output` itself, or a view of it, for any number
+  // of inputs. RunBackward copies a returned gradient only when something
+  // else still references it, and then at most once.
   std::function<std::vector<Tensor>(const Tensor& grad_output)> backward;
 };
 

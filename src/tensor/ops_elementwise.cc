@@ -8,6 +8,7 @@ namespace emaf::tensor {
 
 namespace {
 
+using internal::GradSumTo;
 using internal::MapBinary;
 using internal::MapUnary;
 using internal::SumTo;
@@ -23,7 +24,7 @@ Tensor Add(const Tensor& a, const Tensor& b) {
     Shape sa = a.shape();
     Shape sb = b.shape();
     SetGradFn(&out, "Add", {a, b}, [sa, sb](const Tensor& g) {
-      return std::vector<Tensor>{SumTo(g, sa), SumTo(g, sb)};
+      return std::vector<Tensor>{GradSumTo(g, sa), GradSumTo(g, sb)};
     });
   }
   return out;
@@ -36,11 +37,13 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
     Shape sa = a.shape();
     Shape sb = b.shape();
     SetGradFn(&out, "Sub", {a, b}, [sa, sb](const Tensor& g) {
+      // SumTo always returns a fresh buffer, so negating it in place
+      // cannot reach `g` or the other operand's gradient.
       Tensor gb = SumTo(g, sb);
       Scalar* d = gb.data();
       const int64_t emaf_n = gb.NumElements();
       for (int64_t i = 0; i < emaf_n; ++i) d[i] = -d[i];
-      return std::vector<Tensor>{SumTo(g, sa), gb};
+      return std::vector<Tensor>{GradSumTo(g, sa), gb};
     });
   }
   return out;
@@ -54,8 +57,8 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
     Tensor bd = b.Detach();
     SetGradFn(&out, "Mul", {a, b}, [ad, bd](const Tensor& g) {
       NoGradGuard guard;
-      return std::vector<Tensor>{SumTo(Mul(g, bd), ad.shape()),
-                                 SumTo(Mul(g, ad), bd.shape())};
+      return std::vector<Tensor>{GradSumTo(Mul(g, bd), ad.shape()),
+                                 GradSumTo(Mul(g, ad), bd.shape())};
     });
   }
   return out;
@@ -70,8 +73,8 @@ Tensor Div(const Tensor& a, const Tensor& b) {
     SetGradFn(&out, "Div", {a, b}, [ad, bd](const Tensor& g) {
       NoGradGuard guard;
       // d/da = g / b ; d/db = -g * a / b^2
-      Tensor ga = SumTo(Div(g, bd), ad.shape());
-      Tensor gb = SumTo(Neg(Div(Mul(g, ad), Mul(bd, bd))), bd.shape());
+      Tensor ga = GradSumTo(Div(g, bd), ad.shape());
+      Tensor gb = GradSumTo(Neg(Div(Mul(g, ad), Mul(bd, bd))), bd.shape());
       return std::vector<Tensor>{ga, gb};
     });
   }
@@ -92,8 +95,8 @@ Tensor Maximum(const Tensor& a, const Tensor& b) {
           MapBinary(ad, bd, [](Scalar x, Scalar y) { return x >= y ? 1.0 : 0.0; });
       Tensor pick_b =
           MapBinary(ad, bd, [](Scalar x, Scalar y) { return x >= y ? 0.0 : 1.0; });
-      return std::vector<Tensor>{SumTo(Mul(g, pick_a), ad.shape()),
-                                 SumTo(Mul(g, pick_b), bd.shape())};
+      return std::vector<Tensor>{GradSumTo(Mul(g, pick_a), ad.shape()),
+                                 GradSumTo(Mul(g, pick_b), bd.shape())};
     });
   }
   return out;
@@ -112,8 +115,8 @@ Tensor Minimum(const Tensor& a, const Tensor& b) {
           MapBinary(ad, bd, [](Scalar x, Scalar y) { return x <= y ? 1.0 : 0.0; });
       Tensor pick_b =
           MapBinary(ad, bd, [](Scalar x, Scalar y) { return x <= y ? 0.0 : 1.0; });
-      return std::vector<Tensor>{SumTo(Mul(g, pick_a), ad.shape()),
-                                 SumTo(Mul(g, pick_b), bd.shape())};
+      return std::vector<Tensor>{GradSumTo(Mul(g, pick_a), ad.shape()),
+                                 GradSumTo(Mul(g, pick_b), bd.shape())};
     });
   }
   return out;
@@ -226,7 +229,7 @@ Tensor AddScalar(const Tensor& x, Scalar s) {
   if (ph::Active()) ph::Record(ph::OpKind::kAddScalar, {x}, out, s);
   if (ShouldRecord({x})) {
     SetGradFn(&out, "AddScalar", {x}, [](const Tensor& g) {
-      return std::vector<Tensor>{g.Clone()};
+      return std::vector<Tensor>{g};
     });
   }
   return out;

@@ -153,8 +153,8 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     SetGradFn(&out, "MatMul", {a, b}, [ad_saved, bd_saved](const Tensor& g) {
       NoGradGuard guard;
       // dA = g B^T, reduced over broadcast batch dims; likewise dB.
-      Tensor ga = internal::SumTo(MatMul(g, TransposeLast2(bd_saved)),
-                                  ad_saved.shape());
+      Tensor ga = internal::GradSumTo(MatMul(g, TransposeLast2(bd_saved)),
+                                      ad_saved.shape());
       Tensor gb;
       if (bd_saved.rank() == 2) {
         // dB = sum_batch A^T g = (collapsed A)^T (collapsed g): one kernel
@@ -166,8 +166,8 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
         gb = Tensor::Zeros(bd_saved.shape());
         internal::ParallelMatMul(at.data(), g.data(), gb.data(), k, rows, n);
       } else {
-        gb = internal::SumTo(MatMul(TransposeLast2(ad_saved), g),
-                             bd_saved.shape());
+        gb = internal::GradSumTo(MatMul(TransposeLast2(ad_saved), g),
+                                 bd_saved.shape());
       }
       return std::vector<Tensor>{ga, gb};
     });

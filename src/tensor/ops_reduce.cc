@@ -16,23 +16,30 @@ namespace internal {
 
 namespace {
 
+// Adds every element of `x` into `out` (shape `target`, read through
+// `t_strides` aligned to x's axes), one StridedWalk run at a time. Each
+// output's additions happen in ascending input order, exactly as in a
+// per-element odometer walk, so the bytes do not depend on the run
+// length: a streaming run adds elementwise, and a run along a reduced
+// axis folds into one register from the output's current value.
 void SumToAccumulate(const Tensor& x, Tensor* out,
-                     const std::vector<int64_t>& t_strides) {
-  const Shape& xs = x.shape();
-  const std::vector<int64_t>& dims = xs.dims();
-  int64_t rank = xs.rank();
-  std::vector<int64_t> index(rank, 0);
+                     std::vector<int64_t> t_strides) {
+  const int64_t n = x.NumElements();
+  if (n == 0) return;
+  StridedWalk<1> walk(x.shape().dims(), {std::move(t_strides)});
+  const int64_t run = walk.run();
+  const bool streams = walk.step(0) != 0;
   const Scalar* xd = x.data();
   Scalar* od = out->data();
-  int64_t n = xs.NumElements();
-  int64_t off = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    od[off] += xd[i];
-    for (int64_t axis = rank - 1; axis >= 0; --axis) {
-      off += t_strides[axis];
-      if (++index[axis] < dims[axis]) break;
-      off -= t_strides[axis] * dims[axis];
-      index[axis] = 0;
+  for (int64_t start = 0; start < n; start += run, walk.NextRun()) {
+    const Scalar* src = xd + start;
+    Scalar* dst = od + walk.offset(0);
+    if (streams) {
+      for (int64_t j = 0; j < run; ++j) dst[j] += src[j];
+    } else {
+      Scalar acc = *dst;
+      for (int64_t j = 0; j < run; ++j) acc += src[j];
+      *dst = acc;
     }
   }
 }
@@ -92,29 +99,6 @@ Shape DropShape(const Shape& shape, const std::vector<int64_t>& dims) {
     out.push_back(shape.dim(i));
   }
   return Shape(out);
-}
-
-// Expands `g` (of keep-shape) to `full` by copying along broadcast axes.
-Tensor ExpandFrom(const Tensor& g, const Shape& full) {
-  Tensor out = MakeUninitialized(full);
-  std::vector<int64_t> g_strides = BroadcastStrides(g.shape(), full);
-  const std::vector<int64_t>& dims = full.dims();
-  int64_t rank = full.rank();
-  std::vector<int64_t> index(rank, 0);
-  const Scalar* gd = g.data();
-  Scalar* od = out.data();
-  int64_t n = full.NumElements();
-  int64_t off = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    od[i] = gd[off];
-    for (int64_t axis = rank - 1; axis >= 0; --axis) {
-      off += g_strides[axis];
-      if (++index[axis] < dims[axis]) break;
-      off -= g_strides[axis] * dims[axis];
-      index[axis] = 0;
-    }
-  }
-  return out;
 }
 
 // Decomposes `shape` around `dim` into [outer, d, inner] extents.
@@ -258,7 +242,7 @@ Tensor Sum(const Tensor& x, const std::vector<int64_t>& dims, bool keepdim) {
     Tensor out = x.Clone();
     if (ShouldRecord({x})) {
       SetGradFn(&out, "SumNoAxes", {x}, [](const Tensor& g) {
-        return std::vector<Tensor>{g.Clone()};
+        return std::vector<Tensor>{g};
       });
     }
     return out;
@@ -274,8 +258,10 @@ Tensor Sum(const Tensor& x, const std::vector<int64_t>& dims, bool keepdim) {
     Shape x_shape = x.shape();
     SetGradFn(&out, "SumDims", {x}, [x_shape, keep](const Tensor& g) {
       NoGradGuard guard;
-      Tensor gk = Tensor::FromVector(keep, g.ToVector());
-      return std::vector<Tensor>{ExpandFrom(gk, x_shape)};
+      // A view of `g` in keep-shape, copied out along the summed axes.
+      Tensor gk = Reshape(g, keep);
+      return std::vector<Tensor>{keep == x_shape ? gk
+                                                 : BroadcastTo(gk, x_shape)};
     });
   }
   return out;

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <array>
 #include <cstddef>
 
 #include "tensor/op_common.h"
@@ -11,39 +12,79 @@ namespace {
 
 namespace ph = plan_hook;
 
+using internal::StridedWalk;
+
+// Edge of the square tiles a transposing copy moves at a time: 16 x 16
+// f64 is 2 KiB, so a tile's source and destination lines stay in L1.
+constexpr int64_t kTile = 16;
+
 // Copies x into a tensor of shape `out_shape`, where reading follows
 // `in_strides` (aligned to out_shape axes). Shared by Permute/BroadcastTo.
-// The innermost axis is copied as one (possibly strided) run per outer
-// index; an odometer over the outer axes tracks each run's start.
+// The output is walked in coalesced runs (StridedWalk): a run the input
+// streams (stride 1) is one std::copy, a broadcast run (stride 0) one
+// fill. A run that strides through the input (a transposing permutation)
+// is copied instead in kTile x kTile tiles spanning it and the output
+// axis along which the input streams, so both sides read and write whole
+// cache lines. Every output element is written once from one input
+// element, so the walk order cannot change a byte.
 Tensor StridedCopy(const Tensor& x, const Shape& out_shape,
-                   const std::vector<int64_t>& in_strides) {
+                   std::vector<int64_t> in_strides) {
   Tensor out = MakeUninitialized(out_shape);
-  const std::vector<int64_t>& dims = out_shape.dims();
-  const int64_t rank = out_shape.rank();
+  const int64_t n = out_shape.NumElements();
+  if (n == 0) return out;
   const Scalar* xd = x.data();
   Scalar* od = out.data();
-  if (rank == 0) {
-    od[0] = xd[0];
+  StridedWalk<1> walk(out_shape.dims(), {std::move(in_strides)});
+  const int64_t run = walk.run();
+  const int64_t step = walk.step(0);
+  if (step <= 1) {
+    for (int64_t start = 0; start < n; start += run, walk.NextRun()) {
+      const Scalar* src = xd + walk.offset(0);
+      if (step == 1) {
+        std::copy(src, src + run, od + start);
+      } else {
+        std::fill(od + start, od + start + run, *src);
+      }
+    }
     return out;
   }
-  const int64_t run = dims[rank - 1];
-  const int64_t step = in_strides[rank - 1];
-  const int64_t runs = run == 0 ? 0 : out_shape.NumElements() / run;
-  std::vector<int64_t> index(rank, 0);
-  int64_t off = 0;
-  for (int64_t r = 0; r < runs; ++r) {
-    const Scalar* src = xd + off;
-    Scalar* dst = od + r * run;
-    if (step == 1) {
-      std::copy(src, src + run, dst);
-    } else {
-      for (int64_t j = 0; j < run; ++j) dst[j] = src[j * step];
-    }
-    for (int64_t axis = rank - 2; axis >= 0; --axis) {
-      off += in_strides[axis];
-      if (++index[axis] < dims[axis]) break;
-      off -= in_strides[axis] * dims[axis];
-      index[axis] = 0;
+  // Transposing: out axis `p` reads the input contiguously, the last out
+  // axis reads it `step` apart. Tile those two; walk the rest.
+  const std::vector<int64_t>& dims = walk.dims();
+  const std::vector<int64_t>& strides = walk.strides(0);
+  const std::vector<int64_t> out_strides = Shape(dims).Strides();
+  const int64_t last = static_cast<int64_t>(dims.size()) - 1;
+  const int64_t p = std::find(strides.begin(), strides.end(), 1) -
+                    strides.begin();
+  EMAF_CHECK_LT(p, last) << "strided copy with no contiguous input axis";
+  const int64_t rows = dims[p];
+  const int64_t row_stride = out_strides[p];
+  std::vector<int64_t> rest_dims;
+  std::array<std::vector<int64_t>, 2> rest_strides;
+  for (int64_t axis = 0; axis < last; ++axis) {
+    if (axis == p) continue;
+    rest_dims.push_back(dims[axis]);
+    rest_strides[0].push_back(strides[axis]);
+    rest_strides[1].push_back(out_strides[axis]);
+  }
+  const int64_t blocks = Shape(rest_dims).NumElements();
+  StridedWalk<2> rest(rest_dims, std::move(rest_strides));
+  for (int64_t start = 0; start < blocks;
+       start += rest.run(), rest.NextRun()) {
+    for (int64_t r = 0; r < rest.run(); ++r) {
+      const Scalar* src = xd + rest.offset(0) + r * rest.step(0);
+      Scalar* dst = od + rest.offset(1) + r * rest.step(1);
+      for (int64_t i0 = 0; i0 < rows; i0 += kTile) {
+        const int64_t i1 = std::min(i0 + kTile, rows);
+        for (int64_t j0 = 0; j0 < run; j0 += kTile) {
+          const int64_t j1 = std::min(j0 + kTile, run);
+          for (int64_t i = i0; i < i1; ++i) {
+            for (int64_t j = j0; j < j1; ++j) {
+              dst[i * row_stride + j] = src[i + j * step];
+            }
+          }
+        }
+      }
     }
   }
   return out;
@@ -72,7 +113,8 @@ Tensor Reshape(const Tensor& x, const Shape& shape) {
   if (ShouldRecord({x})) {
     Shape x_shape = x.shape();
     SetGradFn(&out, "Reshape", {x}, [x_shape](const Tensor& g) {
-      return std::vector<Tensor>{Tensor::FromVector(x_shape, g.ToVector())};
+      NoGradGuard guard;
+      return std::vector<Tensor>{Reshape(g, x_shape)};  // a view of g
     });
   }
   return out;
@@ -93,7 +135,7 @@ Tensor Permute(const Tensor& x, const std::vector<int64_t>& perm) {
     in_strides[i] = x_strides[p];
   }
   Shape out_shape(out_dims);
-  Tensor out = StridedCopy(x, out_shape, in_strides);
+  Tensor out = StridedCopy(x, out_shape, std::move(in_strides));
   if (ph::Active()) ph::Record({ph::OpKind::kPermute, {x}, out, 0.0, 0.0, perm});
   if (ShouldRecord({x})) {
     std::vector<int64_t> canonical(perm.size());
@@ -310,8 +352,10 @@ Tensor Pad(const Tensor& x,
     Shape x_shape = xs;
     SetGradFn(&out, "Pad", {x}, [x_shape, padding](const Tensor& g) {
       NoGradGuard guard;
+      // One Slice (one copy) per padded axis; unpadded axes need none.
       Tensor region = g;
       for (int64_t i = 0; i < x_shape.rank(); ++i) {
+        if (padding[i].first == 0 && padding[i].second == 0) continue;
         region = Slice(region, i, padding[i].first,
                        padding[i].first + x_shape.dim(i));
       }
@@ -325,7 +369,7 @@ Tensor BroadcastTo(const Tensor& x, const Shape& shape) {
   EMAF_CHECK(IsBroadcastableTo(x.shape(), shape))
       << x.shape().ToString() << " -> " << shape.ToString();
   std::vector<int64_t> in_strides = BroadcastStrides(x.shape(), shape);
-  Tensor out = StridedCopy(x, shape, in_strides);
+  Tensor out = StridedCopy(x, shape, std::move(in_strides));
   if (ph::Active()) {
     ph::Record({ph::OpKind::kBroadcastTo, {x}, out, 0.0, 0.0, shape.dims()});
   }
@@ -333,7 +377,7 @@ Tensor BroadcastTo(const Tensor& x, const Shape& shape) {
     Shape x_shape = x.shape();
     SetGradFn(&out, "BroadcastTo", {x}, [x_shape](const Tensor& g) {
       NoGradGuard guard;
-      return std::vector<Tensor>{internal::SumTo(g, x_shape)};
+      return std::vector<Tensor>{internal::GradSumTo(g, x_shape)};
     });
   }
   return out;

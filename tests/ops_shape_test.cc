@@ -179,6 +179,28 @@ TEST(PadTest, GradSlicesInterior) {
   EXPECT_EQ(x.grad().ToVector(), (std::vector<double>{1, 2}));
 }
 
+TEST(PadTest, GradOfPaddingSomeAxesOnly) {
+  // MTGNN's causal pad: only the last axis is padded. Also no padding at
+  // all, where the gradient passes straight through.
+  Rng rng(3);
+  Tensor x = Tensor::Uniform(Shape{2, 3, 2, 4}, -1, 1, &rng);
+  Tensor w = Tensor::Uniform(Shape{2, 3, 2, 6}, -1, 1, &rng);
+  EXPECT_TRUE(CheckGradients(
+                  [w](const std::vector<Tensor>& in) {
+                    return Sum(Mul(Pad(in[0], {{0, 0}, {0, 0}, {0, 0}, {2, 0}}),
+                                   w));
+                  },
+                  {x})
+                  .ok);
+  EXPECT_TRUE(CheckGradients(
+                  [](const std::vector<Tensor>& in) {
+                    Tensor p = Pad(in[0], {{0, 0}, {0, 0}, {0, 0}, {0, 0}});
+                    return Sum(Mul(p, Exp(in[0])));
+                  },
+                  {x})
+                  .ok);
+}
+
 TEST(BroadcastToTest, ExpandsValues) {
   Tensor a = Tensor::FromVector(Shape{1, 2}, {1, 2});
   Tensor b = BroadcastTo(a, Shape{3, 2});

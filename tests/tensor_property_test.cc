@@ -1,6 +1,7 @@
 // Randomized property tests over the tensor layer: algebraic identities
 // and round-trips checked across fuzzed shapes (deterministic seeds).
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -312,6 +313,164 @@ TEST_P(SeededPropertyTest, ParallelConvPassesWeightGradCheck) {
       },
       {weight}, 1e-6, 1e-5);
   EXPECT_TRUE(r.ok) << "err " << r.max_error;
+}
+
+// ---- Strided walkers against a per-element reference ----------------------
+//
+// The reference visits every element of `dims` in row-major order and
+// rebuilds each operand's offset from the unravelled multi-index, one
+// element at a time. The library's walkers (MapBinary's broadcast path,
+// SumTo, Permute and BroadcastTo's copy) must give the same bytes.
+
+// Offset under `strides` of row-major element `flat` of `shape`: the
+// multi-index is peeled off axis by axis from the last.
+int64_t OffsetOf(int64_t flat, const Shape& shape,
+                 const std::vector<int64_t>& strides) {
+  int64_t offset = 0;
+  for (int64_t axis = shape.rank() - 1; axis >= 0; --axis) {
+    offset += flat % shape.dim(axis) * strides[axis];
+    flat /= shape.dim(axis);
+  }
+  return offset;
+}
+
+// Values spread over many binades, so that any reordering of a sum shows
+// in the low bits.
+Tensor SpreadValues(const Shape& shape, Rng* rng) {
+  Tensor t = Tensor::Uniform(shape, -1, 1, rng);
+  Scalar* d = t.data();
+  for (int64_t i = 0; i < t.NumElements(); ++i) {
+    d[i] = std::ldexp(d[i], static_cast<int>(rng->UniformInt(-20, 20)));
+  }
+  return t;
+}
+
+// A random shape of rank 1-`max_rank` over dims {1, ..., 6} plus the
+// occasional long axis, so that runs both split and merge.
+Shape RandomWalkShape(Rng* rng, int64_t max_rank) {
+  const int64_t rank = rng->UniformInt(1, max_rank);
+  std::vector<int64_t> dims;
+  for (int64_t i = 0; i < rank; ++i) {
+    dims.push_back(rng->Bernoulli(0.1) ? rng->UniformInt(17, 33)
+                                       : rng->UniformInt(1, 6));
+  }
+  return Shape(dims);
+}
+
+// `to` with random axes set to 1 and random leading axes dropped; a
+// rank-0 scalar one time in eight.
+Shape RandomOperandOf(const Shape& to, Rng* rng) {
+  if (rng->Bernoulli(0.125)) return Shape{};
+  std::vector<int64_t> dims;
+  for (int64_t i = rng->UniformInt(0, to.rank() - 1); i < to.rank(); ++i) {
+    dims.push_back(rng->Bernoulli(0.4) ? 1 : to.dim(i));
+  }
+  return Shape(dims);
+}
+
+Tensor ReferenceMapBinary(const Tensor& a, const Tensor& b,
+                          Scalar (*f)(Scalar, Scalar)) {
+  Shape out_shape = BroadcastShapes(a.shape(), b.shape());
+  std::vector<int64_t> a_strides = BroadcastStrides(a.shape(), out_shape);
+  std::vector<int64_t> b_strides = BroadcastStrides(b.shape(), out_shape);
+  Tensor out = Tensor::Zeros(out_shape);
+  for (int64_t i = 0; i < out.NumElements(); ++i) {
+    out.data()[i] = f(a.data()[OffsetOf(i, out_shape, a_strides)],
+                      b.data()[OffsetOf(i, out_shape, b_strides)]);
+  }
+  return out;
+}
+
+Tensor ReferenceSumTo(const Tensor& x, const Shape& target) {
+  std::vector<int64_t> t_strides = BroadcastStrides(target, x.shape());
+  Tensor out = Tensor::Zeros(target);
+  for (int64_t i = 0; i < x.NumElements(); ++i) {
+    out.data()[OffsetOf(i, x.shape(), t_strides)] += x.data()[i];
+  }
+  return out;
+}
+
+// Copy of `x` into `out_shape` reading through `in_strides`.
+Tensor ReferenceGather(const Tensor& x, const Shape& out_shape,
+                       const std::vector<int64_t>& in_strides) {
+  Tensor out = Tensor::Zeros(out_shape);
+  for (int64_t i = 0; i < out.NumElements(); ++i) {
+    out.data()[i] = x.data()[OffsetOf(i, out_shape, in_strides)];
+  }
+  return out;
+}
+
+TEST_P(SeededPropertyTest, MapBinaryBroadcastMatchesPerElementWalk) {
+  Rng rng(16000 + GetParam());
+  for (int trial = 0; trial < 40; ++trial) {
+    Shape full = RandomWalkShape(&rng, 5);
+    Tensor a = SpreadValues(RandomOperandOf(full, &rng), &rng);
+    Tensor b = SpreadValues(RandomOperandOf(full, &rng), &rng);
+    SCOPED_TRACE(a.shape().ToString() + " op " + b.shape().ToString());
+    ExpectBitwiseEqual(
+        Sub(a, b), ReferenceMapBinary(a, b, [](Scalar x, Scalar y) {
+          return x - y;
+        }));
+    ExpectBitwiseEqual(
+        Div(b, a), ReferenceMapBinary(b, a, [](Scalar x, Scalar y) {
+          return x / y;
+        }));
+    auto skew = [](Scalar x, Scalar y) { return 3.0 * x - y * y; };
+    ExpectBitwiseEqual(internal::MapBinary(a, b, skew),
+                       ReferenceMapBinary(a, b, skew));
+  }
+}
+
+TEST_P(SeededPropertyTest, SumToMatchesPerElementWalkForEveryTarget) {
+  Rng rng(17000 + GetParam());
+  Shape shape = RandomWalkShape(&rng, 4);
+  Tensor x = SpreadValues(shape, &rng);
+  const int64_t rank = shape.rank();
+  // Every broadcast-compatible target: drop any number of leading axes,
+  // then keep or collapse each remaining axis.
+  for (int64_t drop = 0; drop <= rank; ++drop) {
+    for (int64_t mask = 0; mask < (int64_t{1} << (rank - drop)); ++mask) {
+      std::vector<int64_t> dims;
+      for (int64_t axis = drop; axis < rank; ++axis) {
+        dims.push_back((mask >> (axis - drop)) & 1 ? 1 : shape.dim(axis));
+      }
+      Shape target(dims);
+      SCOPED_TRACE(shape.ToString() + " -> " + target.ToString());
+      ExpectBitwiseEqual(internal::SumTo(x, target), ReferenceSumTo(x, target));
+    }
+  }
+}
+
+TEST_P(SeededPropertyTest, PermuteAndBroadcastToMatchPerElementWalkAtTileEdges) {
+  // Dims straddle the 16-wide copy tiles; every rank-4 permutation.
+  Rng rng(18000 + GetParam());
+  const int64_t edges[] = {1, 15, 16, 17};
+  std::vector<int64_t> dims;
+  for (int i = 0; i < 4; ++i) dims.push_back(edges[rng.UniformInt(0, 3)]);
+  Shape shape(dims);
+  Tensor x = SpreadValues(shape, &rng);
+  std::vector<int64_t> x_strides = shape.Strides();
+  std::vector<int64_t> perm = {0, 1, 2, 3};
+  int permutations = 0;
+  do {
+    ++permutations;
+    std::vector<int64_t> out_dims;
+    std::vector<int64_t> in_strides;
+    for (int64_t p : perm) {
+      out_dims.push_back(shape.dim(p));
+      in_strides.push_back(x_strides[p]);
+    }
+    Shape out_shape(out_dims);
+    SCOPED_TRACE(shape.ToString() + " -> " + out_shape.ToString());
+    ExpectBitwiseEqual(Permute(x, perm),
+                       ReferenceGather(x, out_shape, in_strides));
+    Tensor source = SpreadValues(RandomOperandOf(out_shape, &rng), &rng);
+    ExpectBitwiseEqual(
+        BroadcastTo(source, out_shape),
+        ReferenceGather(source, out_shape,
+                        BroadcastStrides(source.shape(), out_shape)));
+  } while (std::next_permutation(perm.begin(), perm.end()));
+  EXPECT_EQ(permutations, 24);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeededPropertyTest,
