@@ -144,23 +144,6 @@ inline void PrintScale(const char* title, const BenchScale& scale) {
                "EMAF_NUM_THREADS=N to parallelize)\n\n";
 }
 
-// Prints `json` as the run's `[json]` line and writes it to
-// $EMAF_BENCH_JSON_DIR/BENCH_<name>.json (default: cwd). Returns the
-// file's path, "" when EMAF_BENCH_JSON_DIR=- disables the file, or an
-// error naming the path when it cannot be written; whether that error
-// fails the run is the caller's choice.
-inline Result<std::string> WriteBenchJson(const std::string& name,
-                                          const std::string& json) {
-  std::cout << "\n[json] " << json << "\n";
-  std::string dir = GetEnvString("EMAF_BENCH_JSON_DIR", ".");
-  if (dir == "-") return std::string();
-  std::string path = dir + "/BENCH_" + name + ".json";
-  std::ofstream out(path);
-  if (!out) return Status::Internal(StrCat("failed to write ", path));
-  out << json << "\n";
-  return path;
-}
-
 // RAII run reporter: measures the bench's wall clock and, on destruction,
 // prints one JSON line and writes BENCH_<name>.json next to it. The record
 // carries the thread count so BENCH_*.json trajectories stay comparable
@@ -201,9 +184,16 @@ class RunReporter {
       json = StrCat(json, ", \"metrics\": ", snapshot.ToJson());
     }
     json += "}";
-    Result<std::string> written = WriteBenchJson(name_, json);
-    if (!written.ok()) {
-      std::cout << "[json] " << written.status().message() << "\n";
+    std::cout << "\n[json] " << json << "\n";
+    std::string dir = GetEnvString("EMAF_BENCH_JSON_DIR", ".");
+    if (dir != "-") {
+      std::string path = dir + "/BENCH_" + name_ + ".json";
+      std::ofstream out(path);
+      if (out) {
+        out << json << "\n";
+      } else {
+        std::cout << "[json] failed to write " << path << "\n";
+      }
     }
     if (obs::Trace::Enabled()) {
       Status trace_status = obs::Trace::Flush();

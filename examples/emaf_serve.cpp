@@ -9,7 +9,7 @@
 //
 // The wire protocol and overload contract are documented in DESIGN.md
 // ("Network serving"); the same Client class drives the loopback tests
-// and the bench_serving load generator.
+// and emafbench's load generator.
 
 #include <csignal>
 #include <filesystem>

@@ -77,7 +77,7 @@ Result<FineTuneResult> OnlineTrainer::FineTune(
 
     // epochs <= 0 is a pure warm-start rebind: the snapshot's weights
     // under the (possibly swapped) adjacency, no optimizer step. Used by
-    // tests to witness the warm start and by the bench's static arm.
+    // tests to witness the warm start.
     if (options_.epochs <= 0) {
       model->SetTraining(false);
       EMAF_METRIC_COUNTER_ADD("online.train.fine_tunes_total", 1);

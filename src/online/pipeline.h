@@ -18,8 +18,8 @@
 // graph; the fine-tune then keeps the snapshot's own adjacency.
 //
 // Instrumentation: online.pipeline.updates_total / refused_total
-// (counters), online.pipeline.update_seconds (histogram — the update
-// latency the bench reports p50/p99 of).
+// (counters), online.pipeline.update_seconds (histogram — the whole
+// update's latency).
 
 #ifndef EMAF_ONLINE_PIPELINE_H_
 #define EMAF_ONLINE_PIPELINE_H_

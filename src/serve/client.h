@@ -1,5 +1,5 @@
 // In-repo client for the serve::Server wire protocol, shared by the
-// loopback tests, the bench_serving load generator, and the quickstart
+// loopback tests, emafbench's load generator, and the quickstart
 // example — one implementation of framing, request-id matching and error
 // decoding instead of three.
 //
@@ -12,8 +12,9 @@
 //   - Pipelined: SendForecastRequest() queues any number of requests
 //     without reading; ReadFrame() then yields replies in arrival order,
 //     to be matched by request id. One thread may send while another
-//     reads (the two directions share no state), which is how the
-//     open-loop bench issues at a target rate regardless of completions.
+//     reads (the two directions share no state), which is how an
+//     open-loop load generator sends at a target rate regardless of
+//     completions.
 //
 // Retry: ForecastWithRetry() wraps Forecast() in the RetryPolicy from
 // ClientOptions — retrying only kUnavailable (backpressure, a draining

@@ -5,9 +5,9 @@
 // the version watermark is monotonic (filename-derived or explicit) — the
 // publish fault site
 // (old version keeps serving), the full OnlinePipeline loop (append ->
-// fine-tune -> publish -> swap == cold engine on the new snapshot), and
-// threaded Get-vs-Publish hammers for tsan, one of them under eviction
-// pressure.
+// fine-tune -> publish -> swap == cold engine on the new snapshot), the
+// same bytes from updates fanned out at 1/2/8 pool threads, and threaded
+// Get-vs-Publish hammers for tsan, one of them under eviction pressure.
 
 #include <unistd.h>
 
@@ -27,6 +27,8 @@
 #include "common/fault_injection.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "core/evaluator.h"
 #include "models/registry.h"
 #include "online/observation_log.h"
@@ -353,6 +355,73 @@ TEST(HotSwapTest, PipelineUpdateMatchesColdEngineOnNewSnapshot) {
   Result<online::UpdateOutcome> second = pipeline.UpdateIndividual("i1");
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second.value().version, 2u);
+}
+
+// The thread-count contract over the whole online loop: two individuals
+// stream 48 rows each, with an update (2 fine-tune epochs) every 12 rows,
+// fanned out by ParallelFor over one shared log, publisher and store. Each
+// individual's final published snapshot serves the same bytes at 1, 2 and
+// 8 pool threads.
+TEST(HotSwapTest, FannedOutUpdatesPublishTheSameBytesAtAnyThreadCount) {
+  const std::vector<std::string> ids = {"i0", "i1"};
+  constexpr int64_t kRows = 48;
+  constexpr int64_t kUpdateEvery = 12;
+  std::vector<std::vector<double>> first_run;
+  for (int64_t threads : {1, 2, 8}) {
+    const std::string dir = FreshDir(StrCat("fanout_", threads));
+    const std::string logdir = FreshDir(StrCat("fanout_log_", threads));
+    auto initial = serve::testutil::MakeTinySnapshotDir(dir, ids);
+    Result<ModelStore> store = ModelStore::Open(dir);
+    Result<online::ObservationLog> log = online::ObservationLog::Open(logdir);
+    Result<online::SnapshotPublisher> publisher =
+        online::SnapshotPublisher::Open(dir);
+    ASSERT_TRUE(store.ok() && log.ok() && publisher.ok());
+
+    std::vector<Status> failures(ids.size(), Status::Ok());
+    common::ThreadPool pool(threads);
+    pool.ParallelFor(0, static_cast<int64_t>(ids.size()), /*grain=*/1,
+                     [&](int64_t begin, int64_t end) {
+      for (int64_t i = begin; i < end; ++i) {
+        const std::string& id = ids[static_cast<size_t>(i)];
+        Status& failure = failures[static_cast<size_t>(i)];
+        online::OnlinePipelineOptions options;
+        options.graph.window_rows = 32;
+        options.train.epochs = 2;
+        online::OnlinePipeline pipeline(&log.value(), &publisher.value(),
+                                        &store.value(), options);
+        for (int64_t t = 0; t < kRows && failure.ok(); ++t) {
+          std::vector<double> row(serve::testutil::kTinyVars);
+          for (size_t v = 0; v < row.size(); ++v) {
+            row[v] = std::sin(0.25 * static_cast<double>(t) +
+                              static_cast<double>(v) +
+                              0.37 * static_cast<double>(i));
+          }
+          Result<uint64_t> appended = log.value().Append(id, row);
+          if (!appended.ok()) {
+            failure = appended.status();
+          } else if ((t + 1) % kUpdateEvery == 0) {
+            failure = pipeline.UpdateIndividual(id).status();
+          }
+        }
+      }
+    });
+
+    std::vector<std::vector<double>> served;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      ASSERT_TRUE(failures[i].ok())
+          << ids[i] << " threads=" << threads << ": " << failures[i].ToString();
+      EXPECT_EQ(store.value().snapshot_path(ids[i]).value(),
+                StrCat(dir, "/", ids[i], ".v", kRows / kUpdateEvery,
+                       ".snapshot"));
+      served.push_back(Served(store.value(), ids[i]));
+      EXPECT_NE(served[i], initial[ids[i]]) << ids[i];
+    }
+    if (first_run.empty()) {
+      first_run = served;
+    } else {
+      EXPECT_EQ(served, first_run) << "threads=" << threads;
+    }
+  }
 }
 
 // tsan hammer: readers Get+Predict in a loop while Publish lands. Every

@@ -4,16 +4,20 @@
 // at 1, 2 and 8 pool threads; the
 // server survives a pathological 1-byte-at-a-time writer, answers
 // pipelined requests matched by request id, forgets mid-request
-// disconnects without leaking a store pin, and sheds overload with a
-// structured kUnavailable instead of hanging or dropping. Fault-gated
+// disconnects without leaking a store pin, sheds overload with a
+// structured kUnavailable instead of hanging or dropping, and serves
+// MANIFEST-aliased tenants under a residency budget. Fault-gated
 // cases drive serve.store.load/<id> and serve.server.accept through the
 // server path and pin the batch-peer-isolation contract.
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -323,6 +327,132 @@ TEST_F(ServerTest, QueueFullAnswersStructuredUnavailable) {
   EXPECT_GE(rejected, 1);
   EXPECT_GE(server.stats().requests_rejected, 1u);
   EXPECT_GE(server.scheduler_stats().rejected, 1u);
+}
+
+// Many tenants under a residency budget, over the wire: 16 tenant ids
+// alias 4 snapshots through a MANIFEST whose relpaths sit in sharded
+// subdirectories, the store may hold 2 models, and a sender thread paces
+// 100 pipelined requests of a Zipf tenant mix at 20k/s while this thread
+// drains the replies. Every request id gets exactly one reply, an ok reply
+// is bitwise the module path's bytes for the tenant's aliased snapshot,
+// and an error is kUnavailable (backpressure) or kResourceExhausted. The
+// latter is counted, not gated: a micro-batch whose distinct tenants pin
+// the whole budget fails the rest of its tenants, and how often that
+// happens depends on timing.
+TEST_F(ServerTest, AliasedTenantsUnderAResidencyBudgetServeTheirSnapshots) {
+  namespace fs = std::filesystem;
+  constexpr int kSnapshots = 4;
+  constexpr int kTenants = 16;
+  constexpr int kRequests = 100;
+  const std::string dir = ::testing::TempDir() + "/server_manifest_snapshots";
+  fs::remove_all(dir);
+  const Tensor window = testutil::TinyWindow();
+  auto relpath = [](int k) {
+    return StrCat("shards/0", k, "/uniq_", k, ".snapshot");
+  };
+  std::vector<std::vector<double>> snapshot_bytes;
+  for (int k = 0; k < kSnapshots; ++k) {
+    const std::string path = dir + "/" + relpath(k);
+    ASSERT_TRUE(fs::create_directories(fs::path(path).parent_path()));
+    models::ModelConfig config = testutil::TinyLstmConfig();
+    Rng rng(42 + static_cast<uint64_t>(k));
+    std::unique_ptr<models::Forecaster> model =
+        models::CreateForecasterOrDie(config, &rng);
+    ASSERT_TRUE(models::SaveForecasterSnapshot(model.get(), config, path).ok());
+    snapshot_bytes.push_back(core::Predict(model.get(), window).ToVector());
+    for (int j = 0; j < k; ++j) ASSERT_NE(snapshot_bytes[j], snapshot_bytes[k]);
+  }
+  std::map<std::string, std::string> manifest;
+  for (int t = 0; t < kTenants; ++t) {
+    manifest.emplace(StrCat("tenant-", t), relpath(t % kSnapshots));
+  }
+  ASSERT_TRUE(WriteManifest(dir, manifest).ok());
+
+  // Tenant popularity ~ 1/rank^1.1.
+  std::vector<double> cdf;
+  double total = 0;
+  for (int t = 0; t < kTenants; ++t) {
+    cdf.push_back(total += std::pow(t + 1.0, -1.1));
+  }
+  Rng mix_rng(42);
+  std::vector<int> tenant_of_request;
+  for (int i = 0; i < kRequests; ++i) {
+    tenant_of_request.push_back(static_cast<int>(
+        std::lower_bound(cdf.begin(), cdf.end(), mix_rng.Uniform() * total) -
+        cdf.begin()));
+  }
+
+  ServerOptions options;
+  options.store.max_resident_models = 2;
+  Result<Server> server = Server::Start(dir, options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ClientOptions impatient;
+  impatient.recv_timeout_ms = 5000;  // a lost reply fails, not hangs
+  Client client = ConnectOrDie(server.value(), impatient);
+  Result<HealthInfo> health = client.Health();
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health.value().known_models, static_cast<uint64_t>(kTenants));
+
+  std::vector<uint64_t> request_ids(kRequests, 0);
+  std::thread sender([&] {
+    auto next = std::chrono::steady_clock::now();
+    for (int i = 0; i < kRequests; ++i) {
+      std::this_thread::sleep_until(next);
+      next += std::chrono::microseconds(50);
+      Result<uint64_t> id = client.SendForecastRequest(
+          StrCat("tenant-", tenant_of_request[i]), window);
+      if (!id.ok()) return;
+      request_ids[i] = id.value();
+    }
+  });
+  std::vector<Frame> replies;
+  for (int i = 0; i < kRequests; ++i) {
+    Result<Frame> reply = client.ReadFrame();
+    if (!reply.ok()) break;
+    replies.push_back(std::move(reply).value());
+  }
+  sender.join();
+
+  std::map<uint64_t, int> tenant_of_id;
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_NE(request_ids[i], 0u) << "send " << i << " failed";
+    tenant_of_id.emplace(request_ids[i], tenant_of_request[i]);
+  }
+  std::set<uint64_t> answered;
+  int ok = 0, unavailable = 0, exhausted = 0;
+  for (const Frame& reply : replies) {
+    auto it = tenant_of_id.find(reply.request_id);
+    ASSERT_NE(it, tenant_of_id.end()) << "unknown request id "
+                                      << reply.request_id;
+    EXPECT_TRUE(answered.insert(reply.request_id).second)
+        << "second reply to request " << reply.request_id;
+    if (reply.type == FrameType::kForecastResponse) {
+      Result<Tensor> forecast = DecodeTensorPayload(reply.payload);
+      ASSERT_TRUE(forecast.ok()) << forecast.status().ToString();
+      EXPECT_EQ(forecast.value().ToVector(),
+                snapshot_bytes[it->second % kSnapshots])
+          << "tenant-" << it->second;
+      ++ok;
+      continue;
+    }
+    ASSERT_EQ(reply.type, FrameType::kError);
+    Status carried = Status::Ok();
+    ASSERT_TRUE(DecodeStatusPayload(reply.payload, &carried).ok());
+    if (carried.code() == StatusCode::kUnavailable) {
+      ++unavailable;
+    } else if (carried.code() == StatusCode::kResourceExhausted) {
+      ++exhausted;
+    } else {
+      ADD_FAILURE() << "tenant-" << it->second << ": " << carried.ToString();
+    }
+  }
+  const std::string counts =
+      StrCat("ok=", ok, " unavailable=", unavailable,
+             " resource_exhausted=", exhausted, " of ", kRequests);
+  RecordProperty("resource_exhausted", exhausted);
+  EXPECT_EQ(answered.size(), static_cast<size_t>(kRequests)) << counts;
+  EXPECT_GT(ok, 0) << counts;
+  fs::remove_all(dir);
 }
 
 // A client that vanishes mid-request must not leak residency: its

@@ -22,18 +22,6 @@
 namespace emaf::obs {
 namespace {
 
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  EXPECT_TRUE(in.is_open()) << path;
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
 // --- Minimal JSON well-formedness checker ---------------------------------
 // Recursive descent over the full grammar (objects, arrays, strings with
 // escapes, numbers, literals). Returns true iff `text` is one valid JSON
@@ -152,6 +140,18 @@ class JsonChecker {
 };
 
 #if EMAF_METRICS_ENABLED
+
+std::string TempPath(const char* name) {
+  return std::string(::testing::TempDir()) + "/" + name;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.is_open()) << path;
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
 
 struct ParsedEvent {
   std::string name;
